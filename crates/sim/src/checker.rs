@@ -571,7 +571,15 @@ pub fn check_stamped(st: &StampedSchedule, full: &CycleSchedule, arch: &ArchConf
         e.value.0 = r.value(e.value.0, m);
         e
     };
-    check_stamped_stream(&st.prev.mem, &base.mem, &full.schedule.mem, k, &shift_val, &mut seed, "mem");
+    check_stamped_stream(
+        &st.prev.mem,
+        &base.mem,
+        &full.schedule.mem,
+        k,
+        &shift_val,
+        &mut seed,
+        "mem",
+    );
     check_stamped_stream(
         &st.prev.net,
         &base.net,
@@ -840,7 +848,10 @@ mod tests {
             });
         }
         s.compute[0].sort_by_key(|e| e.cycle);
-        s.makespan = 1100;
+        // The output store drains last: i2 finishes at 900 + 8 + 4 and
+        // i1 by 775 + 8 + 86, while the store streams until 950 + 64.
+        let makespan = 950 + dur;
+        s.makespan = makespan;
 
         let counters = f1_arch::energy::EnergyCounters {
             hbm_bytes: 3 * 4096,
@@ -853,14 +864,14 @@ mod tests {
             schedule: s,
             issue_cycle: issue.to_vec(),
             done_cycle: done.to_vec(),
-            makespan: 1100,
+            makespan,
             counters,
         };
         let plan = MovePlan {
             order: (0..3).map(f1_isa::dfg::InstrId).collect(),
             events: Vec::new(),
             traffic: TrafficBreakdown::default(),
-            approx_cycles: 1100,
+            approx_cycles: makespan,
         };
         let _ = ValueId(0);
         let ex = Expanded {
@@ -909,6 +920,206 @@ mod tests {
         let (ex, plan, mut cs, arch) = handmade(4, 775);
         cs.schedule.evict.clear();
         check_schedule(&ex, &plan, &cs, &arch);
+    }
+
+    /// Value `i`'s id in the [`handmade`] fixture: 0 = `a`, 1..=3 = the
+    /// outputs of instructions 0..=2.
+    fn hv(i: u32) -> f1_isa::dfg::ValueId {
+        f1_isa::dfg::ValueId(i)
+    }
+
+    /// Adds a 4 KB load of `value` at `cycle` on the otherwise idle HBM
+    /// channel 2, keeping the memory stream sorted and the HBM counters in
+    /// step.
+    fn push_load(
+        cs: &mut CycleSchedule,
+        arch: &ArchConfig,
+        value: f1_isa::dfg::ValueId,
+        cycle: u64,
+    ) {
+        let m = f1_isa::streams::MemEntry {
+            cycle,
+            dir: MemDir::Load,
+            value,
+            bytes: 4096,
+            bank: 0,
+            channel: 2,
+        };
+        cs.schedule.mem.push(m);
+        cs.schedule.mem.sort_by_key(|m| m.cycle);
+        cs.counters.hbm_bytes += 4096;
+        cs.counters.hbm_channel_busy_cycles += arch.mem_channel_cycles(4096);
+    }
+
+    /// Adds a 4 KB eviction of `value` at `cycle`, keeping the evict
+    /// stream sorted.
+    fn push_evict(cs: &mut CycleSchedule, value: f1_isa::dfg::ValueId, cycle: u64) {
+        cs.schedule.evict.push(f1_isa::streams::EvictEntry { cycle, value, bytes: 4096 });
+        cs.schedule.evict.sort_by_key(|e| e.cycle);
+    }
+
+    #[test]
+    fn handmade_makespan_is_the_last_drained_store() {
+        // The output store starts at 950 and streams for 64 cycles; every
+        // compute entry drains before it.
+        let (ex, _plan, cs, arch) = handmade(4, 775);
+        assert_eq!(check_streams(&ex, &cs, &arch), 1014);
+    }
+
+    #[test]
+    #[should_panic(expected = "evict byte-count mismatch")]
+    fn checker_rejects_evict_byte_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.evict[0].bytes = 2048;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction at 100 with no on-chip copy")]
+    fn checker_rejects_eviction_without_copy() {
+        // v1 is produced at 320; releasing it at 100 frees nothing.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        push_evict(&mut cs, hv(1), 100);
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside any on-chip residency interval")]
+    fn checker_rejects_net_transfer_outside_residency() {
+        // `a`'s first load completes at 314: nothing to send at 100.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.net[0].cycle = 100;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream/issue mismatch")]
+    fn checker_rejects_stream_issue_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.issue_cycle[0] += 1;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "availability mismatch")]
+    fn checker_rejects_availability_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.done_cycle[0] += 1;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "consumes remote")]
+    fn checker_rejects_remote_operand_without_transfer() {
+        // Drop the post-refetch delivery of `a`: i1 then reads a bank
+        // value with only a stale, pre-eviction transfer.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.net.pop();
+        cs.counters.xbar_busy_cycles -= arch.net_cycles(4096);
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "reads a value with no on-chip copy")]
+    fn checker_rejects_store_without_copy() {
+        // v3 is released at 940; its store starts at 950.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        push_evict(&mut cs, hv(3), 940);
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "Load transfer of ValueId(1) at 100 before production")]
+    fn checker_rejects_transfer_before_production() {
+        // Load the intermediate v1 at 100 (released at 200): i0 only
+        // produces it at 320.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        push_load(&mut cs, &arch, hv(1), 100);
+        push_evict(&mut cs, hv(1), 200);
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "refetch of spilled ValueId(1) at 520 before any writeback completes"
+    )]
+    fn checker_rejects_refetch_before_writeback() {
+        // Release v1 at 500 and refetch it at 520 (delivered to i2 at
+        // 834), but v1 was never stored: HBM holds no copy.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        push_evict(&mut cs, hv(1), 500);
+        push_load(&mut cs, &arch, hv(1), 520);
+        let mut net = cs.schedule.net[1].clone();
+        net.cycle = 834;
+        net.value = hv(1);
+        cs.schedule.net.push(net);
+        cs.counters.xbar_busy_cycles += arch.net_cycles(4096);
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "HBM channel 0 double-booked: transfers at 0 and 448")]
+    fn checker_rejects_hbm_channel_double_booking() {
+        // An 8x larger first load streams past the refetch's start.
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.mem[0].bytes *= 8;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "double-booked: transfers at 314 and 315")]
+    fn checker_rejects_crossbar_lane_double_booking() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.net[1].cycle = 315;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "HBM channel busy-cycle counter mismatch")]
+    fn checker_rejects_channel_busy_counter_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.counters.hbm_channel_busy_cycles += 1;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "crossbar busy-cycle counter mismatch")]
+    fn checker_rejects_crossbar_busy_counter_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.counters.xbar_busy_cycles += 1;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "HBM byte counter mismatch")]
+    fn checker_rejects_hbm_byte_counter_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.counters.hbm_bytes += 1;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown HBM channel 16")]
+    fn checker_rejects_unknown_channel() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.mem[2].channel = arch.hbm_channels;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown crossbar lane 1")]
+    fn checker_rejects_unknown_crossbar_lane() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.net[0].port = arch.xbar_ports;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "cluster 0 has no Ntt instance")]
+    fn checker_rejects_unknown_fu_instance() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.compute[0][0].fu_index = arch.fus_per_cluster(FuType::Ntt);
+        check_streams(&ex, &cs, &arch);
     }
 
     #[test]
@@ -1000,13 +1211,8 @@ mod tests {
         // First entry of stamped block 0 in the evict stream (right
         // after the common prefix); evict `bytes` is only compared by
         // the relocation check, so nothing else trips first.
-        let l = st
-            .prev
-            .evict
-            .iter()
-            .zip(&st.base.schedule.evict)
-            .take_while(|(a, b)| a == b)
-            .count();
+        let l =
+            st.prev.evict.iter().zip(&st.base.schedule.evict).take_while(|(a, b)| a == b).count();
         assert!(
             st.base.schedule.evict.len() > st.prev.evict.len(),
             "needs per-trip evictions to stamp"
