@@ -5,10 +5,10 @@ use f1_arch::ArchConfig;
 use f1_compiler::expand::Expanded;
 use f1_compiler::movement::TrafficBreakdown;
 use f1_compiler::{CycleSchedule, MovePlan, StampedSchedule};
+use f1_isa::dfg::ValueId;
 use f1_isa::streams::MemDir;
 use f1_isa::{ComponentId, FuType};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Per-window utilization series — the data behind Fig 10.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -41,9 +41,45 @@ pub struct SimReport {
     pub instr_fetch_fraction: f64,
 }
 
+/// Per-value lists in compressed sparse row form: value `v`'s items are
+/// `items[offsets[v]..offsets[v + 1]]`, in the order they were given.
+struct PerValue<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Default> PerValue<T> {
+    /// Buckets `(value, item)` pairs by value with a counting pass, so
+    /// each value's items keep their iteration order. `pairs` is walked
+    /// twice: once to count, once to place.
+    fn build(values: usize, pairs: impl Iterator<Item = (u32, T)> + Clone) -> Self {
+        let mut offsets = vec![0usize; values + 1];
+        for (v, _) in pairs.clone() {
+            offsets[v as usize + 1] += 1;
+        }
+        for v in 0..values {
+            offsets[v + 1] += offsets[v];
+        }
+        let mut next = offsets[..values].to_vec();
+        let mut items = vec![T::default(); offsets[values]];
+        for (v, item) in pairs {
+            let slot = &mut next[v as usize];
+            items[*slot] = item;
+            *slot += 1;
+        }
+        Self { offsets, items }
+    }
+}
+
+impl<T> PerValue<T> {
+    fn get(&self, v: u32) -> &[T] {
+        &self.items[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+}
+
 /// One on-chip residency interval of a value, reconstructed from the
 /// emitted streams alone (loads, production cycles, evictions).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Residency {
     /// Cycle the scratchpad bytes are claimed (load start / issue).
     start: u64,
@@ -53,6 +89,19 @@ struct Residency {
     end: u64,
     /// Whether this interval began with an off-chip load.
     loaded: bool,
+}
+
+/// One allocation or release of a value's scratchpad bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct ResidencyEvent {
+    cycle: u64,
+    /// 0 = release, 1 = allocation: at equal cycles the release happens
+    /// first (byte lineage: an allocation may reuse bytes freed that cycle).
+    phase: u8,
+    /// Whether an allocation is an off-chip load (else a production).
+    loaded: bool,
+    /// Cycle an allocation's data is usable.
+    avail: u64,
 }
 
 /// Per-value residency intervals, derived independently of the scheduler
@@ -68,68 +117,64 @@ fn residency_intervals(
     expanded: &Expanded,
     cs: &CycleSchedule,
     arch: &ArchConfig,
-) -> HashMap<u32, Vec<Residency>> {
+) -> PerValue<Residency> {
     let dfg = &expanded.dfg;
-    // 0 = release, 1 = allocation: at equal cycles the release happens
-    // first (byte lineage: an allocation may reuse bytes freed that cycle).
-    let mut events: HashMap<u32, Vec<(u64, u8, Residency)>> = HashMap::new();
-    for m in &cs.schedule.mem {
-        if m.dir == MemDir::Load {
-            let avail = m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles;
-            events.entry(m.value.0).or_default().push((
-                m.cycle,
-                1,
-                Residency { start: m.cycle, avail, end: u64::MAX, loaded: true },
-            ));
-        }
-    }
-    for (instr, (&issue, &done)) in cs.issue_cycle.iter().zip(&cs.done_cycle).enumerate() {
-        let out = dfg.instrs()[instr].output;
-        events.entry(out.0).or_default().push((
-            issue,
-            1,
-            Residency { start: issue, avail: done, end: u64::MAX, loaded: false },
-        ));
-    }
-    for e in &cs.schedule.evict {
+    let values = dfg.values().len();
+    // Each value's events in push order — loads, productions, evictions —
+    // so the stable sort below breaks (cycle, phase) ties the same way.
+    let loads = cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load).map(|m| {
+        let avail = m.cycle + arch.mem_channel_cycles(m.bytes) + arch.hbm_latency_cycles;
+        (m.value.0, ResidencyEvent { cycle: m.cycle, phase: 1, loaded: true, avail })
+    });
+    let productions =
+        cs.issue_cycle.iter().zip(&cs.done_cycle).enumerate().map(|(instr, (&issue, &done))| {
+            let out = dfg.instrs()[instr].output;
+            (out.0, ResidencyEvent { cycle: issue, phase: 1, loaded: false, avail: done })
+        });
+    let evictions = cs.schedule.evict.iter().map(|e| {
         assert_eq!(
             e.bytes,
             dfg.value(e.value).bytes,
             "evict byte-count mismatch for {:?}",
             e.value
         );
-        events.entry(e.value.0).or_default().push((
-            e.cycle,
-            0,
-            Residency { start: 0, avail: 0, end: e.cycle, loaded: false },
-        ));
-    }
-    let mut intervals: HashMap<u32, Vec<Residency>> = HashMap::new();
-    for (v, mut evs) in events {
-        evs.sort_by_key(|&(cycle, phase, _)| (cycle, phase));
+        (e.value.0, ResidencyEvent { cycle: e.cycle, phase: 0, ..Default::default() })
+    });
+    let mut events = PerValue::build(values, loads.chain(productions).chain(evictions));
+
+    let mut offsets = Vec::with_capacity(values + 1);
+    let mut items = Vec::new();
+    offsets.push(0);
+    for v in 0..values as u32 {
+        let (lo, hi) = (events.offsets[v as usize], events.offsets[v as usize + 1]);
+        let evs = &mut events.items[lo..hi];
+        evs.sort_by_key(|ev| (ev.cycle, ev.phase));
         let mut open: Option<Residency> = None;
-        let mut list = Vec::new();
-        for (cycle, phase, r) in evs {
-            if phase == 1 {
+        for ev in evs.iter() {
+            let cycle = ev.cycle;
+            if ev.phase == 1 {
                 assert!(
                     open.is_none(),
                     "value {v}: refetch at {cycle} before the previous copy is evicted"
                 );
-                open = Some(r);
+                open = Some(Residency {
+                    start: cycle,
+                    avail: ev.avail,
+                    end: u64::MAX,
+                    loaded: ev.loaded,
+                });
             } else {
                 let mut cur = open.take().unwrap_or_else(|| {
                     panic!("value {v}: eviction at {cycle} with no on-chip copy")
                 });
                 cur.end = cycle;
-                list.push(cur);
+                items.push(cur);
             }
         }
-        if let Some(cur) = open {
-            list.push(cur);
-        }
-        intervals.insert(v, list);
+        items.extend(open);
+        offsets.push(items.len());
     }
-    intervals
+    PerValue { offsets, items }
 }
 
 /// Validates a schedule's emitted streams without computing statistics.
@@ -154,8 +199,24 @@ fn residency_intervals(
 ///
 /// This is the right entry for re-verifying a schedule that did *not*
 /// come out of an in-process compile — e.g. one deserialized from the
-/// schedule cache — since it needs no [`MovePlan`]. Returns the verified
-/// makespan.
+/// schedule cache — since it needs no [`MovePlan`].
+///
+/// Returns the verified makespan: re-derived from the streams the way
+/// the cycle scheduler defines it — the latest compute drain
+/// (`issue + occupancy + latency`) or off-chip transfer end (`start +`
+/// channel streaming time) — and asserted equal to both the schedule's
+/// recorded makespans.
+///
+/// # Cost
+///
+/// Per-value state lives in dense arrays indexed by `ValueId`, with no
+/// per-value hashing. Residency events, residency intervals and crossbar
+/// arrivals are bucketed per value in compressed sparse row form: an
+/// offsets array of length `values + 1` plus one flat array. Producer
+/// clusters and earliest writeback completions take one array slot per
+/// value. Each value's few events are sorted on their own; the capacity
+/// sweep and the per-channel and per-lane exclusivity checks each sort
+/// one flat array. Time is O(E log E) in the stream entries E.
 ///
 /// # Panics
 ///
@@ -164,30 +225,34 @@ fn residency_intervals(
 pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig) -> u64 {
     let dfg = &expanded.dfg;
     let n = dfg.n;
+    let values = dfg.values().len();
     check_structural(cs, arch, n);
 
     // --- Residency intervals (from the streams alone) and the capacity
     // invariant: the byte-weighted overlap of all on-chip intervals must
-    // never exceed the scratchpad.
+    // never exceed the scratchpad. Every allocation (load or production)
+    // opens one interval and every eviction closes one —
+    // `residency_intervals` rejects anything else — so the sweep walks
+    // the allocations, sorted here, merged with the already-sorted evict
+    // stream. Releases go first at equal cycles: bytes freed at cycle t
+    // may be reused by an allocation starting at t.
     let intervals = residency_intervals(expanded, cs, arch);
     {
         let cap = arch.scratchpad_bytes();
-        // phase 0 = release, 1 = allocation: bytes freed at cycle t may be
-        // reused by an allocation starting at t.
-        let mut deltas: Vec<(u64, u8, i64)> = Vec::new();
-        for (&v, list) in &intervals {
-            let bytes = dfg.value(f1_isa::dfg::ValueId(v)).bytes as i64;
-            for r in list {
-                deltas.push((r.start, 1, bytes));
-                if r.end != u64::MAX {
-                    deltas.push((r.end, 0, -bytes));
-                }
-            }
-        }
-        deltas.sort_unstable_by_key(|&(cycle, phase, _)| (cycle, phase));
+        let bytes = |v: ValueId| dfg.value(v).bytes as i64;
+        let loads = cs.schedule.mem.iter().filter(|m| m.dir == MemDir::Load);
+        let mut allocs: Vec<(u64, i64)> = loads
+            .map(|m| (m.cycle, bytes(m.value)))
+            .chain(cs.issue_cycle.iter().zip(dfg.instrs()).map(|(&t, i)| (t, bytes(i.output))))
+            .collect();
+        allocs.sort_unstable_by_key(|&(cycle, _)| cycle);
+        let mut releases = cs.schedule.evict.iter().map(|e| (e.cycle, bytes(e.value))).peekable();
         let mut occupied = 0i64;
-        for (cycle, _, d) in deltas {
-            occupied += d;
+        for (cycle, b) in allocs {
+            while let Some((_, freed)) = releases.next_if(|&(t, _)| t <= cycle) {
+                occupied -= freed;
+            }
+            occupied += b;
             assert!(
                 occupied <= cap as i64,
                 "resident set ({occupied} bytes) exceeds scratchpad capacity ({cap}) at cycle {cycle}"
@@ -195,7 +260,7 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
         }
     }
     let covering = |v: u32, t: u64| -> Option<Residency> {
-        intervals.get(&v).and_then(|list| list.iter().find(|r| r.avail <= t && t <= r.end)).copied()
+        intervals.get(v).iter().find(|r| r.avail <= t && t <= r.end).copied()
     };
 
     // --- Dependences under rate-matched streaming semantics. A value is
@@ -205,16 +270,16 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     // last copy was evicted may not be read until its refetch completes.
     // Remote consumption additionally needs a crossbar transfer, within
     // the same interval, that lands before the consumer issues.
-    let weight = |fu: FuType| f1_compiler::cycle::stream_weight(arch, fu, n);
-    // Producer cluster per value (None = lives in a scratchpad bank).
-    let mut cluster_of: HashMap<u32, usize> = HashMap::new();
+    let weight = FuType::ALL.map(|fu| f1_compiler::cycle::stream_weight(arch, fu, n));
+    let drain = FuType::ALL.map(|fu| arch.occupancy(fu, n) + arch.latency(fu, n));
+    let mut makespan = 0u64;
+    // Producer cluster per value (`u32::MAX` = lives in a scratchpad bank).
+    let mut cluster_of = vec![u32::MAX; values];
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
         for e in stream {
-            cluster_of.insert(dfg.instr(e.instr).output.0, c);
+            cluster_of[dfg.instr(e.instr).output.0 as usize] = c as u32;
         }
     }
-    // Crossbar deliveries per (value, destination): (start, arrival).
-    let mut arrivals: HashMap<(u32, ComponentId), Vec<(u64, u64)>> = HashMap::new();
     for e in &cs.schedule.net {
         assert!(
             covering(e.value.0, e.cycle).is_some(),
@@ -222,12 +287,20 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             e.value,
             e.cycle
         );
-        let t = e.cycle + f1_compiler::cycle::XBAR_HOP_CYCLES;
-        arrivals.entry((e.value.0, e.to)).or_default().push((e.cycle, t));
     }
+    // Crossbar deliveries to a cluster, per value: (cluster, start); the
+    // transfer lands `XBAR_HOP_CYCLES` after it starts.
+    let arrivals = PerValue::build(
+        values,
+        cs.schedule.net.iter().filter_map(|e| match e.to {
+            ComponentId::Cluster(c) => Some((e.value.0, (c, e.cycle))),
+            _ => None,
+        }),
+    );
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
         for e in stream {
             let instr = dfg.instr(e.instr);
+            let fu = instr.op.fu_type().index();
             assert_eq!(
                 cs.issue_cycle[e.instr.0 as usize], e.cycle,
                 "stream/issue mismatch for {:?}",
@@ -235,10 +308,11 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             );
             assert_eq!(
                 cs.done_cycle[e.instr.0 as usize],
-                e.cycle + weight(instr.op.fu_type()),
+                e.cycle + weight[fu],
                 "availability mismatch for {:?}",
                 e.instr
             );
+            makespan = makespan.max(e.cycle + drain[fu]);
             for &v in &instr.inputs {
                 let r = covering(v.0, e.cycle).unwrap_or_else(|| {
                     panic!(
@@ -247,20 +321,17 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
                         e.instr, e.cycle
                     )
                 });
-                let local = !r.loaded && cluster_of.get(&v.0) == Some(&c);
+                let local = !r.loaded && cluster_of[v.0 as usize] == c as u32;
                 if !local {
                     // Remote (bank-resident or other-cluster) operands MUST
                     // arrive over the crossbar within this same residency
                     // interval — a missing transfer is a scheduler bug, and
                     // a transfer from before the eviction carries stale
                     // bytes, not a free pass.
-                    let ok = arrivals
-                        .get(&(v.0, ComponentId::Cluster(c)))
-                        .map(|xs| {
-                            xs.iter()
-                                .any(|&(s, arrive)| arrive <= e.cycle && s >= r.start && s <= r.end)
-                        })
-                        .unwrap_or(false);
+                    let ok = arrivals.get(v.0).iter().any(|&(to, s)| {
+                        let arrive = s + f1_compiler::cycle::XBAR_HOP_CYCLES;
+                        to == c && arrive <= e.cycle && s >= r.start && s <= r.end
+                    });
                     assert!(
                         ok,
                         "instr {:?} on cluster {c} consumes remote {v:?} with no \
@@ -275,16 +346,16 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
     // --- Memory ordering against production and spills: a store must not
     // start before its value exists, and a spilled intermediate's refetch
     // must not start before its writeback completes.
-    let mut store_done: HashMap<u32, Vec<u64>> = HashMap::new();
+    // Earliest writeback completion per value (`u64::MAX` = never stored).
+    let mut first_store_done = vec![u64::MAX; values];
     for m in &cs.schedule.mem {
         if m.dir == MemDir::Store {
-            store_done
-                .entry(m.value.0)
-                .or_default()
-                .push(m.cycle + arch.mem_channel_cycles(m.bytes));
+            let done = &mut first_store_done[m.value.0 as usize];
+            *done = (*done).min(m.cycle + arch.mem_channel_cycles(m.bytes));
         }
     }
     for m in &cs.schedule.mem {
+        makespan = makespan.max(m.cycle + arch.mem_channel_cycles(m.bytes));
         if m.dir == MemDir::Store {
             // A store reads the scratchpad: the value must be resident
             // (within an on-chip interval) when the transfer starts.
@@ -305,20 +376,24 @@ pub fn check_streams(expanded: &Expanded, cs: &CycleSchedule, arch: &ArchConfig)
             );
             if m.dir == MemDir::Load {
                 // An intermediate can only be in HBM because it was spilled.
-                let ok = store_done
-                    .get(&m.value.0)
-                    .map(|ds| ds.iter().any(|&d| d <= m.cycle))
-                    .unwrap_or(false);
                 assert!(
-                    ok,
+                    first_store_done[m.value.0 as usize] <= m.cycle,
                     "refetch of spilled {:?} at {} before any writeback completes",
-                    m.value, m.cycle
+                    m.value,
+                    m.cycle
                 );
             }
         }
     }
 
-    cs.makespan.max(1)
+    // --- The makespan the scheduler recorded must be the one its
+    // streams imply.
+    assert_eq!(cs.makespan, makespan, "recorded makespan differs from the streams' last drain");
+    assert_eq!(
+        cs.schedule.makespan, makespan,
+        "stream makespan differs from the streams' last drain"
+    );
+    makespan
 }
 
 /// Structural-resource validation from the streams alone — the subset of
@@ -333,26 +408,20 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
 
     // --- Structural hazards: per (cluster, fu, slot), issues must be at
     // least `occupancy` apart (fully pipelined units, one vector each).
+    // Each cluster's stream is monotone, so every slot sees its issues in
+    // cycle order and only the previous one can conflict.
+    let occ = FuType::ALL.map(|fu| arch.occupancy(fu, n));
     for (c, stream) in cs.schedule.compute.iter().enumerate() {
-        let mut by_slot: HashMap<(FuType, usize), Vec<u64>> = HashMap::new();
+        let mut last_issue = FuType::ALL.map(|fu| vec![None; arch.fus_per_cluster(fu)]);
         for e in stream {
-            assert!(
-                e.fu_index < arch.fus_per_cluster(e.fu),
-                "cluster {c} has no {:?} instance {}",
-                e.fu,
-                e.fu_index
-            );
-            by_slot.entry((e.fu, e.fu_index)).or_default().push(e.cycle);
-        }
-        for ((fu, slot), mut cycles) in by_slot {
-            cycles.sort_unstable();
-            let occ = arch.occupancy(fu, n);
-            for w in cycles.windows(2) {
+            let (fu, slot) = (e.fu, e.fu_index);
+            assert!(slot < arch.fus_per_cluster(fu), "cluster {c} has no {fu:?} instance {slot}");
+            if let Some(prev) = last_issue[fu.index()][slot].replace(e.cycle) {
                 assert!(
-                    w[1] >= w[0] + occ,
+                    e.cycle >= prev + occ[fu.index()],
                     "structural hazard on cluster {c} {fu:?}[{slot}]: issues at {} and {}",
-                    w[0],
-                    w[1]
+                    prev,
+                    e.cycle
                 );
             }
         }
@@ -361,12 +430,12 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
     // --- HBM channels: each channel is exclusive; transfers on it must
     // be spaced by their per-channel streaming time.
     {
-        let mut by_channel: HashMap<usize, Vec<(u64, u64)>> = HashMap::new();
+        let mut by_channel: Vec<Vec<(u64, u64)>> = vec![Vec::new(); arch.hbm_channels];
         for m in &cs.schedule.mem {
             assert!(m.channel < arch.hbm_channels, "unknown HBM channel {}", m.channel);
-            by_channel.entry(m.channel).or_default().push((m.cycle, m.bytes));
+            by_channel[m.channel].push((m.cycle, m.bytes));
         }
-        for (ch, mut xs) in by_channel {
+        for (ch, mut xs) in by_channel.into_iter().enumerate() {
             xs.sort_unstable();
             for w in xs.windows(2) {
                 assert!(
@@ -382,22 +451,21 @@ fn check_structural(cs: &CycleSchedule, arch: &ArchConfig, n: usize) {
     // --- Crossbar ports: per ((from, to), lane), transfers must be
     // spaced by their streaming time.
     {
-        let mut by_lane: HashMap<(ComponentId, ComponentId, usize), Vec<(u64, u64)>> =
-            HashMap::new();
+        let mut by_lane: Vec<((ComponentId, ComponentId, usize), u64, u64)> =
+            Vec::with_capacity(cs.schedule.net.len());
         for e in &cs.schedule.net {
             assert!(e.port < arch.xbar_ports, "unknown crossbar lane {}", e.port);
-            by_lane.entry((e.from, e.to, e.port)).or_default().push((e.cycle, e.bytes));
+            by_lane.push(((e.from, e.to, e.port), e.cycle, e.bytes));
         }
-        for (lane, mut xs) in by_lane {
-            xs.sort_unstable();
-            for w in xs.windows(2) {
-                assert!(
-                    w[1].0 >= w[0].0 + arch.net_cycles(w[0].1),
-                    "crossbar lane {lane:?} double-booked: transfers at {} and {}",
-                    w[0].0,
-                    w[1].0
-                );
-            }
+        by_lane.sort_unstable();
+        for w in by_lane.windows(2) {
+            let lane = w[0].0;
+            assert!(
+                w[1].0 != lane || w[1].1 >= w[0].1 + arch.net_cycles(w[0].2),
+                "crossbar lane {lane:?} double-booked: transfers at {} and {}",
+                w[0].1,
+                w[1].1
+            );
         }
     }
 
@@ -486,7 +554,7 @@ fn check_stamped_stream<T: PartialEq + Clone + std::fmt::Debug>(
 ///    to every stamped copy unchanged; the period is positive, so
 ///    relocated cycles stay ordered.
 /// 3. **Materialization faithfulness** — the full streams are checked
-///    structurally from scratch ([`check_structural`]: FU occupancy,
+///    structurally from scratch (`check_structural`: FU occupancy,
 ///    channel/lane exclusivity, monotonicity, counters), the issue/done
 ///    tables are re-derived entry by entry, and every stream is shape-
 ///    checked against the template: verbatim prefix, stamped copies of
@@ -631,7 +699,8 @@ pub fn check_schedule(
     cs: &CycleSchedule,
     arch: &ArchConfig,
 ) -> SimReport {
-    let makespan = check_streams(expanded, cs, arch);
+    // Statistics divide by the makespan: an empty schedule counts as one cycle.
+    let makespan = check_streams(expanded, cs, arch).max(1);
     let dfg = &expanded.dfg;
     let n = dfg.n;
 
@@ -924,19 +993,14 @@ mod tests {
 
     /// Value `i`'s id in the [`handmade`] fixture: 0 = `a`, 1..=3 = the
     /// outputs of instructions 0..=2.
-    fn hv(i: u32) -> f1_isa::dfg::ValueId {
-        f1_isa::dfg::ValueId(i)
+    fn hv(i: u32) -> ValueId {
+        ValueId(i)
     }
 
     /// Adds a 4 KB load of `value` at `cycle` on the otherwise idle HBM
     /// channel 2, keeping the memory stream sorted and the HBM counters in
     /// step.
-    fn push_load(
-        cs: &mut CycleSchedule,
-        arch: &ArchConfig,
-        value: f1_isa::dfg::ValueId,
-        cycle: u64,
-    ) {
+    fn push_load(cs: &mut CycleSchedule, arch: &ArchConfig, value: ValueId, cycle: u64) {
         let m = f1_isa::streams::MemEntry {
             cycle,
             dir: MemDir::Load,
@@ -953,7 +1017,7 @@ mod tests {
 
     /// Adds a 4 KB eviction of `value` at `cycle`, keeping the evict
     /// stream sorted.
-    fn push_evict(cs: &mut CycleSchedule, value: f1_isa::dfg::ValueId, cycle: u64) {
+    fn push_evict(cs: &mut CycleSchedule, value: ValueId, cycle: u64) {
         cs.schedule.evict.push(f1_isa::streams::EvictEntry { cycle, value, bytes: 4096 });
         cs.schedule.evict.sort_by_key(|e| e.cycle);
     }
@@ -1119,6 +1183,22 @@ mod tests {
     fn checker_rejects_unknown_fu_instance() {
         let (ex, _plan, mut cs, arch) = handmade(4, 775);
         cs.schedule.compute[0][0].fu_index = arch.fus_per_cluster(FuType::Ntt);
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded makespan differs from the streams' last drain")]
+    fn checker_rejects_recorded_makespan_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.makespan += 1;
+        check_streams(&ex, &cs, &arch);
+    }
+
+    #[test]
+    #[should_panic(expected = "stream makespan differs from the streams' last drain")]
+    fn checker_rejects_stream_makespan_mismatch() {
+        let (ex, _plan, mut cs, arch) = handmade(4, 775);
+        cs.schedule.makespan -= 1;
         check_streams(&ex, &cs, &arch);
     }
 
