@@ -2,8 +2,9 @@
 //!
 //! Times the hot kernels of the CPU baseline — forward/inverse NTT (lazy
 //! and retained-reference), negacyclic multiplication, decomposition
-//! key-switching (scratch-arena and a faithful reconstruction of the
-//! pre-lazy-reduction allocation-heavy formulation), and a full BGV
+//! key-switching (the output-limb-major kernel and a faithful
+//! reconstruction of the pre-lazy-reduction allocation-heavy
+//! formulation), and a full BGV
 //! homomorphic multiply — at paper sizes, and writes `BENCH_poly.json`
 //! so every PR has a recorded perf trajectory.
 //!
@@ -305,10 +306,15 @@ fn main() {
 
     let samples = if quick { 5 } else { 15 };
     let ntt_sizes: &[usize] = if quick { &[1 << 13] } else { &[1 << 13, 1 << 14] };
-    let ks_points: &[(usize, usize)] =
-        if quick { &[(1 << 13, 4)] } else { &[(1 << 13, 4), (1 << 13, 16), (1 << 14, 8)] };
+    // (2^14, 17) is the DB Lookup point the repository benchmark's
+    // `fhe-exec` workload runs at.
+    let ks_points: &[(usize, usize)] = if quick {
+        &[(1 << 13, 4)]
+    } else {
+        &[(1 << 13, 4), (1 << 13, 16), (1 << 14, 8), (1 << 14, 17)]
+    };
     let mul_points: &[(usize, usize)] =
-        if quick { &[(1 << 13, 4)] } else { &[(1 << 13, 4), (1 << 14, 8)] };
+        if quick { &[(1 << 13, 4)] } else { &[(1 << 13, 4), (1 << 14, 8), (1 << 14, 17)] };
 
     // Read the committed reference BEFORE running (and before `--out`
     // overwrites it, which is the normal CI flow).

@@ -220,6 +220,13 @@ pub struct RepeatToken {
     start: u32,
 }
 
+impl RepeatToken {
+    /// Consumes the token, so one region cannot be closed twice.
+    fn into_start(self) -> u32 {
+        self.start
+    }
+}
+
 /// A typed, scheme-aware FHE program: the circuit builder and the
 /// normalized SSA IR in one. See the module docs for the pipeline.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -612,7 +619,7 @@ impl FheProgram {
         carries: Vec<(IrId, IrId)>,
         steps: Vec<(IrId, NodeStep)>,
     ) {
-        let start = token.start;
+        let start = token.into_start();
         let end = self.nodes.len() as u32;
         assert!(end > start, "end_repeat: empty body");
         assert!(trips >= 1, "end_repeat: trips must be >= 1");
@@ -648,9 +655,7 @@ impl FheProgram {
                     FheOp::CtInput { .. } | FheOp::PtInput { .. }
                 );
                 if is_input {
-                    let stepped = steps
-                        .iter()
-                        .any(|&(id, st)| id.0 == i && st.d_ordinal != 0);
+                    let stepped = steps.iter().any(|&(id, st)| id.0 == i && st.d_ordinal != 0);
                     assert!(stepped, "body input node {i} needs a d_ordinal != 0 step");
                 }
             }
@@ -681,11 +686,7 @@ impl FheProgram {
     /// Node count after unrolling every repeat (without materializing).
     pub fn unrolled_len(&self) -> usize {
         self.nodes.len()
-            + self
-                .repeats
-                .iter()
-                .map(|r| (r.trips as usize - 1) * r.len as usize)
-                .sum::<usize>()
+            + self.repeats.iter().map(|r| (r.trips as usize - 1) * r.len as usize).sum::<usize>()
     }
 
     /// A copy of this program with repeat region `repeat`'s trip count
@@ -774,9 +775,7 @@ impl FheProgram {
                 iter_map[j] = id;
             }
         }
-        for j in 0..len {
-            map[start + j] = iter_map[j];
-        }
+        map[start..start + len].copy_from_slice(&iter_map[..len]);
         // Suffix: remap region references to the last iteration and
         // re-infer types (bodies may change the carried values' levels).
         for i in start + len..self.nodes.len() {

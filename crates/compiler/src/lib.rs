@@ -58,10 +58,10 @@ pub use expand::{ExpandOptions, Expanded, KeySwitchChoice};
 pub use ir::{
     FheProgram, IrId, Lowered, NodeStep, NoisePolicy, OptStats, RepeatSpec, RescaleStats, Scheme,
 };
+pub use movement::MovePlan;
 pub use stamp::{
     compile_rolled, Relocation, RolledCompile, RolledOutcome, StampInfo, StampedSchedule,
 };
-pub use movement::MovePlan;
 
 /// Compiles a DSL program end-to-end with default options, returning the
 /// expanded DFG, the data-movement plan and the cycle-level schedule.

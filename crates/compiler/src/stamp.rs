@@ -22,7 +22,7 @@
 //! * Value and instruction counts grow by constants `dv`, `di` per trip,
 //!   and the makespan by `P` cycles per trip.
 //! * `S_i` and `S_{i+2}` agree on a long common prefix; the divergence
-//!   is confined to the last few (≤ [`BACK`]) trips of the schedule (the
+//!   is confined to the last few (≤ `BACK`) trips of the schedule (the
 //!   scheduler's drain), whose entries relocate *exactly* — cycles shift
 //!   by `2P`, and ids above fixed thresholds shift by `2dv`/`2di`.
 //!   Between the common prefix and the relocated drain sits a 2-trip
@@ -361,8 +361,7 @@ impl StampedSchedule {
         let k = self.info.k;
         let schedule = extend_schedule(&self.prev, &self.base.schedule, k, self.shift())?;
         let n = self.base_expanded.n;
-        let total =
-            self.base_expanded.dfg.instrs().len() + 2 * k as usize * self.info.di as usize;
+        let total = self.base_expanded.dfg.instrs().len() + 2 * k as usize * self.info.di as usize;
         let (issue_cycle, done_cycle) = issue_done(&schedule, arch, n, total);
         let makespan = schedule.makespan;
         let counters = self.base.counters.plus_scaled(&self.counters_per_trip, 2 * k);
@@ -428,7 +427,7 @@ fn try_stamp(
     // Ids only ever shift by multiples of 2·dv, so that is the quantum
     // that must preserve the bank; the byte-exact predictions below
     // witness it inside the probe window, this guards every larger k.
-    if 2 * dv as usize % arch.scratchpad_banks != 0 {
+    if !(2 * dv as usize).is_multiple_of(arch.scratchpad_banks) {
         return Err(format!(
             "2dv = {} not a multiple of {} scratchpad banks",
             2 * dv,
@@ -462,8 +461,7 @@ fn try_stamp(
 
     // (c) Issue/done reconstruction must be exact on a full compile.
     let last = PROBES as usize - 1;
-    let (ri, rd) =
-        issue_done(&comp[last].1.schedule, arch, comp[last].0.n, instrs[last] as usize);
+    let (ri, rd) = issue_done(&comp[last].1.schedule, arch, comp[last].0.n, instrs[last] as usize);
     if ri != comp[last].1.issue_cycle || rd != comp[last].1.done_cycle {
         return Err("issue/done reconstruction diverged from the scheduler".into());
     }
@@ -479,7 +477,7 @@ fn try_stamp(
 
     // Target: same-parity base among S_4/S_5, stamped k times.
     let i_t = trips - WINDOW;
-    let (prev_i, base_i) = if i_t % 2 == 0 { (2usize, 4usize) } else { (3usize, 5usize) };
+    let (prev_i, base_i) = if i_t.is_multiple_of(2) { (2usize, 4usize) } else { (3usize, 5usize) };
     let k = (i_t as u64 - base_i as u64) / 2;
 
     let t1 = Instant::now();

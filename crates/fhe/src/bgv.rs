@@ -8,7 +8,7 @@
 //! both polynomials and key-switches `σ_k(a)`.
 
 use crate::keys::SecretKey;
-use crate::keyswitch::{DecompHint, GhsHint, KsScratch};
+use crate::keyswitch::{CenteredLift, DecompHint, GhsHint, KsScratch};
 use crate::noise;
 use crate::params::BgvParams;
 use f1_poly::crt;
@@ -440,7 +440,7 @@ impl Ciphertext {
     /// Homomorphic multiplication reusing a caller-held key-switch scratch
     /// arena: the tensor products run in place ([`RnsPoly::mul_assign`] /
     /// [`RnsPoly::fma_assign`]), so steady state allocates only the output
-    /// ciphertext.
+    /// ciphertext and the key-switch's per-limb accumulators.
     pub fn mul_with_scratch(
         &self,
         other: &Self,
@@ -582,33 +582,43 @@ pub(crate) fn mul_mod_u64(a: u64, b: u64, m: u64) -> u64 {
 /// Divide-and-round one polynomial by its top limb prime, preserving the
 /// value mod `t` (set `t = 1` for CKKS-style plain rounding; CKKS rescaling
 /// reuses this kernel).
+///
+/// With `p` the top prime, each coefficient `c` becomes
+/// `(c - δ) / p` with `δ = t·[top·t⁻¹]_p`, where `top` is its residue mod
+/// `p` and the bracket is centered. `mu = [top·t⁻¹]_p` is computed once
+/// per coefficient; each remaining limb then lifts it into its own base
+/// without a division, in one limb-parallel region. The NTT is linear, so an
+/// NTT-domain input needs only its top limb inverted and `δ` transformed
+/// per limb, rather than a round trip of every limb.
 pub fn mod_switch_poly(p: &RnsPoly, t: u64) -> RnsPoly {
     let l = p.level();
-    let ctx = p.context().clone();
+    let ctx = p.context();
     let top_idx = l - 1;
-    let coeff = p.to_coeff();
     let top_m = *ctx.modulus(top_idx);
+    let ntt = p.domain() == Domain::Ntt;
+    let mut mu = p.limb(top_idx).to_vec();
+    if ntt {
+        ctx.tables(top_idx).inverse(&mut mu);
+    }
     let t_inv_top = if t == 1 { 1 } else { top_m.inv((t % top_m.value() as u64) as u32) };
-    let mut out = RnsPoly::zero_at_level(&ctx, l - 1);
-    let top_limb = coeff.limb(top_idx);
-    for j in 0..l - 1 {
-        let mj = *ctx.modulus(j);
-        let q_top_inv = mj.inv((top_m.value() as u64 % mj.value() as u64) as u32);
+    mu.iter_mut().for_each(|top| *top = top_m.mul(*top, t_inv_top));
+    let mut out = RnsPoly::zero_at_level(ctx, l - 1);
+    out.for_each_limb_mut(|j, mj, dst| {
+        let lift = CenteredLift::new(&top_m, mj);
         let t_red = (t % mj.value() as u64) as u32;
-        let src = coeff.limb(j);
-        let dst = out.limb_mut(j);
-        for ((d, &s), &top) in dst.iter_mut().zip(src).zip(top_limb) {
-            let mu = top_m.mul(top, t_inv_top);
-            let mu_centered = top_m.center(mu);
-            let delta = mj.mul(mj.reduce_i64(mu_centered), t_red);
-            *d = mj.mul(mj.sub(s, delta), q_top_inv);
+        for (d, &mu) in dst.iter_mut().zip(&mu) {
+            *d = mj.mul(lift.apply(mu), t_red);
         }
-    }
-    if p.domain() == Domain::Ntt {
-        out.to_ntt()
-    } else {
-        out
-    }
+        if ntt {
+            ctx.tables(j).forward(dst);
+        }
+        let q_top_inv = mj.inv(top_m.value() % mj.value());
+        for (d, &c) in dst.iter_mut().zip(p.limb(j)) {
+            *d = mj.mul(mj.sub(c, *d), q_top_inv);
+        }
+    });
+    out.assume_domain(p.domain());
+    out
 }
 
 #[cfg(test)]
@@ -722,6 +732,37 @@ mod tests {
             noise_after < noise_before - 5.0,
             "noise {noise_before:.1} -> {noise_after:.1} did not shrink"
         );
+    }
+
+    #[test]
+    fn mod_switch_poly_matches_per_limb_formula() {
+        // The per-limb formula with a signed reduction of the centered
+        // correction, in both domains, for BGV (t = 65537) and CKKS
+        // (t = 1). N = 4096 reaches the limb-parallel path.
+        let ctx = f1_poly::rns::RnsContext::for_ring(4096, 30, 4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x3D);
+        let coeff = RnsPoly::random_at_level(&ctx, 4, &mut rng);
+        for t in [65537u64, 1] {
+            for p in [coeff.clone(), coeff.to_ntt()] {
+                let top_m = *ctx.modulus(3);
+                let t_inv_top = if t == 1 { 1 } else { top_m.inv(t as u32) };
+                let mut want = RnsPoly::zero_at_level(&ctx, 3);
+                for j in 0..3 {
+                    let mj = *ctx.modulus(j);
+                    let q_top_inv = mj.inv(top_m.value() % mj.value());
+                    let t_red = (t % mj.value() as u64) as u32;
+                    for c in 0..ctx.n() {
+                        let mu = top_m.mul(coeff.limb(3)[c], t_inv_top);
+                        let delta = mj.mul(mj.reduce_i64(top_m.center(mu)), t_red);
+                        want.limb_mut(j)[c] = mj.mul(mj.sub(coeff.limb(j)[c], delta), q_top_inv);
+                    }
+                }
+                if p.domain() == Domain::Ntt {
+                    want.ntt_inplace();
+                }
+                assert_eq!(mod_switch_poly(&p, t), want, "t={t}, {:?} domain", p.domain());
+            }
+        }
     }
 
     #[test]

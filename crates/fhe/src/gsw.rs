@@ -10,6 +10,7 @@
 //! decomposition machinery as Listing 1's key-switch).
 
 use crate::keys::SecretKey;
+use crate::keyswitch::CenteredLift;
 use f1_poly::rns::{Domain, RnsContext, RnsPoly};
 use rand::Rng;
 use std::sync::Arc;
@@ -143,15 +144,15 @@ fn add_gadget(p: &mut RnsPoly, i: usize, mu: u32, ctx: &Arc<RnsContext>) {
 /// Centered lift of limb `i` into all `l` bases, NTT domain (shared shape
 /// with the key-switch lift).
 fn lift_limb_ntt(y: &RnsPoly, i: usize, l: usize, ctx: &Arc<RnsContext>) -> RnsPoly {
-    let mi = *ctx.modulus(i);
+    let mi = ctx.modulus(i);
     let src = y.limb(i);
     let mut out = RnsPoly::zero_at_level(ctx, l);
-    let tables = ctx.clone();
     out.for_each_limb_mut(|j, mj, limb| {
+        let lift = CenteredLift::new(mi, mj);
         for (x, &s) in limb.iter_mut().zip(src) {
-            *x = mj.reduce_i64(mi.center(s));
+            *x = lift.apply(s);
         }
-        tables.tables(j).forward(limb);
+        ctx.tables(j).forward(limb);
     });
     // The limbs were filled with NTT-domain data directly.
     out.assume_domain(Domain::Ntt);

@@ -18,7 +18,14 @@
 //! * [`DecompHint`] — the RNS-decomposition variant of **Listing 1**:
 //!   hints are `L × L` matrices of residue vectors (32 MB at `L = 16`,
 //!   `N = 16K` — exactly the paper's example), compute is `L²` NTTs +
-//!   `2L²` multiplies + `2L²` adds.
+//!   `2L²` multiplies + `2L²` adds. Listing 1 walks the digits `i` and
+//!   scatters each into every output limb; the software kernel runs the
+//!   same arithmetic output-limb-major instead: each output limb `j` walks
+//!   every digit, so all of limb `j`'s work is one independent task. One
+//!   limb-parallel region per key-switch then covers the lifts, the NTTs
+//!   and the multiply-accumulate, and limb `j` accumulates its `2L`
+//!   products in `u64` lanes, reducing once per window of products rather
+//!   than once per product.
 //! * [`GhsHint`] — a GHS-style variant [34, 45] whose hint grows `O(L)`:
 //!   one pair of polynomials over the extended basis `Q·P` (`P` a product
 //!   of special primes). It needs more compute per limb (basis extension
@@ -27,25 +34,24 @@
 //!   §2.4 describes.
 
 use crate::keys::SecretKey;
-use f1_modarith::slice_ops;
+use f1_modarith::Modulus;
 use f1_poly::rns::{Domain, RnsContext, RnsPoly};
 use rand::Rng;
 use std::sync::Arc;
 
-/// Reusable scratch buffers for the decomposition key-switch.
+/// Reusable scratch buffer for the decomposition key-switch.
 ///
-/// [`DecompHint::apply_with_scratch`] needs two working polynomials: the
-/// coefficient-domain copy of the input (`y` in Listing 1) and the lifted
-/// digit being accumulated. Holding them in a caller-owned arena means the
-/// digit-decomposition inner loop of a whole program reuses one pair of
-/// allocations; `Default::default()` starts empty and the buffers are
-/// grown (and re-homed to a new context) on first use.
+/// [`DecompHint::apply_with_scratch`] needs the coefficient-domain copy of
+/// its input (`y` in Listing 1), which every output limb reads. Holding it
+/// in a caller-owned arena lets a whole program's key-switches reuse one
+/// allocation; `Default::default()` starts empty and the buffer is grown
+/// on first use. The per-limb working buffers (one digit polynomial and
+/// the `u64` accumulators) live inside the limb-parallel region, one set
+/// per output limb.
 #[derive(Debug, Default)]
 pub struct KsScratch {
     /// Coefficient-domain copy of the key-switch input.
     y: Option<RnsPoly>,
-    /// The lifted digit polynomial (Listing 1's `xqj` row).
-    lifted: Option<RnsPoly>,
 }
 
 /// Which key-switch implementation to use (the compiler's choice, §4.2).
@@ -228,13 +234,18 @@ impl DecompHint {
         self.apply_with_scratch(x, &mut KsScratch::default())
     }
 
-    /// Applies the key-switch to `x`, reusing `scratch`'s buffers for the
-    /// digit-decomposition inner loop.
+    /// Applies the key-switch to `x`, reusing `scratch`'s buffer for the
+    /// coefficient-domain copy of the input.
     ///
-    /// This is Listing 1: INTT each limb, lift into the other bases, NTT
-    /// back, and multiply-accumulate the hint products — the lift lands in
-    /// the scratch arena and the accumulation is fused ([`RnsPoly::fma_assign`]
-    /// shape), so steady state allocates only the returned `(u0, u1)`.
+    /// This is Listing 1 with the loops interchanged. After the INTT of
+    /// every limb (line 3), one limb-parallel region runs over the output
+    /// limbs `j`; for each digit `i`, limb `j` lifts `y[i]` into `q_j`
+    /// (lines 7-8; the `i == j` digit is `x[j]` itself), runs one forward
+    /// NTT, and multiply-accumulates both hint rows (lines 9-10) into
+    /// `u64` accumulators. The accumulators are reduced only when the next
+    /// product could carry them past `2^63` (every 7 products for primes
+    /// just below `2^30`), and once at the end. Every residue is exact, so the result equals the
+    /// digit-major formulation bit for bit.
     ///
     /// # Panics
     ///
@@ -243,7 +254,8 @@ impl DecompHint {
         assert_eq!(x.domain(), Domain::Ntt, "key-switch input must be in NTT domain");
         let l = x.level();
         assert!(l <= self.level, "hint level {} below input level {l}", self.level);
-        let ctx = x.context().clone();
+        let ctx = x.context();
+        let n = ctx.n();
         // Line 3 of Listing 1: y = [INTT(x[i])], into the scratch arena.
         let y = match &mut scratch.y {
             Some(y) => {
@@ -253,26 +265,113 @@ impl DecompHint {
             slot => slot.insert(x.clone()),
         };
         y.intt_inplace();
-        let lifted = match &mut scratch.lifted {
-            Some(p) if Arc::ptr_eq(p.context(), &ctx) => p,
-            slot => slot.insert(RnsPoly::zero_at_level(&ctx, l)),
-        };
-        let mut u0 = RnsPoly::zero_ntt_at_level(&ctx, l);
-        let mut u1 = RnsPoly::zero_ntt_at_level(&ctx, l);
-        for (i, (row0, row1)) in self.rows.iter().take(l).enumerate() {
-            // Lines 7-8: lift limb i into every base (xqj); the j == i case
-            // reuses x[i] directly.
-            lift_limb_into(y, i, l, &ctx, Some(x), lifted);
-            // Lines 9-10: multiply-accumulate against both hint rows. Rows
-            // live at the hint's level; reading their first `l` limbs is the
-            // truncation that keeps one hint valid for every lower level.
-            for j in 0..l {
-                let mj = ctx.modulus(j);
-                slice_ops::fma_slice(mj, u0.limb_mut(j), lifted.limb(j), row0.limb(j));
-                slice_ops::fma_slice(mj, u1.limb_mut(j), lifted.limb(j), row1.limb(j));
+        let y = &*y;
+        let mut u0 = RnsPoly::zero_ntt_at_level(ctx, l);
+        let mut u1 = RnsPoly::zero_ntt_at_level(ctx, l);
+        u0.for_each_limb_pair_mut(&mut u1, |j, mj, out0, out1| {
+            let window = lazy_fold_window(mj);
+            let mut acc = vec![0u64; 2 * n];
+            let (acc0, acc1) = acc.split_at_mut(n);
+            let mut lifted = vec![0u32; n];
+            let mut pending = 0;
+            // Rows live at the hint's level; reading their limb `j < l` is
+            // the truncation that keeps one hint valid for every lower level.
+            for (i, (row0, row1)) in self.rows.iter().take(l).enumerate() {
+                let digit = if i == j {
+                    x.limb(j)
+                } else {
+                    let lift = CenteredLift::new(ctx.modulus(i), mj);
+                    for (d, &s) in lifted.iter_mut().zip(y.limb(i)) {
+                        *d = lift.apply(s);
+                    }
+                    ctx.tables(j).forward(&mut lifted);
+                    &lifted
+                };
+                if pending == window {
+                    fold(mj, acc0);
+                    fold(mj, acc1);
+                    pending = 0;
+                }
+                mac(acc0, digit, row0.limb(j));
+                mac(acc1, digit, row1.limb(j));
+                pending += 1;
             }
-        }
+            for (out, acc) in [(out0, acc0), (out1, acc1)] {
+                for (o, &a) in out.iter_mut().zip(acc.iter()) {
+                    *o = mj.reduce_u64(a);
+                }
+            }
+        });
         (u0, u1)
+    }
+}
+
+/// Division-free centered lift between two RNS bases: maps a residue
+/// `s mod q_i` to `[center(s)]_{q_j}`, where `center(s)` is the
+/// representative in `(-q_i/2, q_i/2]` (Listing 1 lines 7-8, and the
+/// correction term of modulus switching). A negative representative
+/// `s - q_i` is `s + [-q_i]_{q_j}` mod `q_j`, so the lift is one compare,
+/// one add of a precomputed constant and one Barrett reduction of a value
+/// below `2^32`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CenteredLift {
+    /// `floor(q_i / 2)`: residues above it have a negative representative.
+    half: u32,
+    /// `[-q_i]_{q_j}`, added to those residues before reduction.
+    neg_qi: u32,
+    /// The target modulus `q_j`.
+    qj: u32,
+    /// `floor(2^32 / q_j)`, the 32-bit Barrett reciprocal.
+    barrett: u32,
+}
+
+impl CenteredLift {
+    pub(crate) fn new(from: &Modulus, to: &Modulus) -> Self {
+        let neg_qi = to.neg(from.value() % to.value());
+        // floor(floor(2^64 / q) / 2^32) = floor(2^32 / q).
+        let barrett = (to.barrett_mu() >> 32) as u32;
+        Self { half: from.value() / 2, neg_qi, qj: to.value(), barrett }
+    }
+
+    /// `[center(s)]_{q_j}` for a canonical residue `s < q_i`.
+    #[inline(always)]
+    pub(crate) fn apply(&self, s: u32) -> u32 {
+        // Both terms are below 2^31, so v < 2^32.
+        let v = s + if s > self.half { self.neg_qi } else { 0 };
+        // The quotient estimate t = floor(v·floor(2^32/q)/2^32) exceeds
+        // v/q - 2 because v < 2^32, so v - t·q < 2q and one conditional
+        // subtract finishes. Every product is 32×32 → 64 bits, which
+        // keeps the loop vectorizable.
+        let t = (v as u64 * self.barrett as u64) >> 32;
+        let r = (v as u64 - t * self.qj as u64) as u32;
+        r.min(r.wrapping_sub(self.qj))
+    }
+}
+
+/// How many products of residues mod `m` a `u64` accumulator can take
+/// between reductions while staying below `2^63` (the Barrett fast path of
+/// [`Modulus::reduce_u64`]). A window starts from a reduced value `< q`,
+/// counted as one more product `< q²`, so `k` products are safe when
+/// `(k + 1)·q² ≤ 2^63`: 7 for primes just below `2^30`, 1 for primes
+/// near `2^31`.
+fn lazy_fold_window(m: &Modulus) -> usize {
+    let q = m.value() as u128;
+    ((1u128 << 63) / (q * q)) as usize - 1
+}
+
+/// `acc[c] += a[c] · b[c]` without reduction (see [`lazy_fold_window`]).
+#[inline]
+fn mac(acc: &mut [u64], a: &[u32], b: &[u32]) {
+    for ((o, &x), &y) in acc.iter_mut().zip(a).zip(b) {
+        *o += x as u64 * y as u64;
+    }
+}
+
+/// Reduces every accumulator lane mod `m`, opening a new fold window.
+#[inline]
+fn fold(m: &Modulus, acc: &mut [u64]) {
+    for a in acc.iter_mut() {
+        *a = m.reduce_u64(*a) as u64;
     }
 }
 
@@ -481,41 +580,6 @@ impl GhsHint {
     }
 }
 
-/// Lifts limb `i` of the coefficient-domain polynomial `y` into all `l`
-/// bases via the centered representative, writing an NTT-domain polynomial
-/// into `out` (Listing 1 lines 7-8). When `orig` is given, limb `i` is
-/// copied from it verbatim (the `i == j` shortcut of line 8). The per-base
-/// reductions and NTTs run limb-parallel on large rings.
-fn lift_limb_into(
-    y: &RnsPoly,
-    i: usize,
-    l: usize,
-    ctx: &Arc<RnsContext>,
-    orig: Option<&RnsPoly>,
-    out: &mut RnsPoly,
-) {
-    let mi = *ctx.modulus(i);
-    let src = y.limb(i);
-    // Every coefficient of every limb is written below (copy or
-    // reduce+NTT), so the scratch reshape skips zeroing.
-    out.reshape_for_overwrite(l, Domain::Coefficient);
-    let tables = ctx.clone();
-    out.for_each_limb_mut(|j, mj, limb| {
-        if j == i {
-            if let Some(o) = orig {
-                limb.copy_from_slice(o.limb(i));
-                return;
-            }
-        }
-        for (x, &s) in limb.iter_mut().zip(src) {
-            *x = mj.reduce_i64(mi.center(s));
-        }
-        tables.tables(j).forward(limb);
-    });
-    // The limbs were filled with NTT-domain data directly.
-    out.assume_domain(Domain::Ntt);
-}
-
 fn scale_residue(t: u64) -> u32 {
     // Error scale as a small residue multiplier; t < 2^31 in all our
     // parameter sets.
@@ -526,7 +590,7 @@ fn scale_residue(t: u64) -> u32 {
 mod tests {
     use super::*;
     use f1_poly::crt;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Checks u0 - u1*s ≡ x*target + t*E with small E.
     fn check_keyswitch(
@@ -599,7 +663,7 @@ mod tests {
 
     #[test]
     fn keyswitch_outputs_are_canonical_and_scratch_invariant() {
-        // The fused fma accumulation must leave every residue < q, and a
+        // The lazy u64 accumulation must leave every residue < q, and a
         // reused scratch arena must not change results (including across
         // inputs of different levels).
         let ctx = RnsContext::for_ring(64, 30, 3);
@@ -619,6 +683,84 @@ mod tests {
                     let q = ctx.modulus(i).value();
                     assert!(p.limb(i).iter().all(|&c| c < q), "residue >= q in limb {i}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn centered_lift_matches_signed_reduction() {
+        // Both directions of every pair: q_j < q_i and q_j > q_i, including
+        // moduli of different widths and primes near 2^31.
+        let mut qs = f1_modarith::primes::ntt_friendly_primes(64, 30, 2);
+        qs.extend(f1_modarith::primes::ntt_friendly_primes(64, 31, 2));
+        qs.push(f1_modarith::primes::ntt_friendly_primes(64, 20, 1)[0]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for &qi in &qs {
+            for &qj in qs.iter().filter(|&&q| q != qi) {
+                let (mi, mj) = (Modulus::new(qi), Modulus::new(qj));
+                let lift = CenteredLift::new(&mi, &mj);
+                let edges = [0, 1, qi / 2, qi / 2 + 1, qi - 1];
+                let random = (0..1000).map(|_| rng.gen_range(0..qi));
+                for s in edges.into_iter().chain(random) {
+                    let want = mj.reduce_i64(mi.center(s));
+                    assert_eq!(lift.apply(s), want, "q_i={qi} q_j={qj} s={s}");
+                }
+            }
+        }
+    }
+
+    /// The digit-major formulation of Listing 1 as written (lift digit `i`
+    /// into every base with a signed reduction, NTT, multiply-accumulate
+    /// into all limbs), kept as the oracle for the output-limb-major kernel.
+    fn keyswitch_input_major(hint: &DecompHint, x: &RnsPoly) -> (RnsPoly, RnsPoly) {
+        let l = x.level();
+        let ctx = x.context();
+        let y = x.to_coeff();
+        let mut u0 = RnsPoly::zero_ntt_at_level(ctx, l);
+        let mut u1 = u0.clone();
+        for i in 0..l {
+            let mi = *ctx.modulus(i);
+            let mut lifted = RnsPoly::zero_at_level(ctx, l);
+            for j in 0..l {
+                if j == i {
+                    lifted.limb_mut(j).copy_from_slice(x.limb(i));
+                    continue;
+                }
+                let mj = *ctx.modulus(j);
+                for (d, &s) in lifted.limb_mut(j).iter_mut().zip(y.limb(i)) {
+                    *d = mj.reduce_i64(mi.center(s));
+                }
+                ctx.tables(j).forward(lifted.limb_mut(j));
+            }
+            lifted.assume_domain(Domain::Ntt);
+            let (row0, row1) = hint.row(i);
+            u0 = u0.add(&lifted.mul(&row0.truncate_level(l)));
+            u1 = u1.add(&lifted.mul(&row1.truncate_level(l)));
+        }
+        (u0, u1)
+    }
+
+    #[test]
+    fn output_major_keyswitch_matches_input_major_oracle() {
+        // 30-bit primes fold 7 products per reduction; primes near 2^31
+        // fold after every product. N = 4096 reaches the limb-parallel
+        // path on a multi-core host; inputs below the hint's level read
+        // truncated rows.
+        for (bits, window) in [(30, 7), (31, 1)] {
+            let level = 9;
+            let ctx = RnsContext::for_ring(4096, bits, level);
+            assert!(ctx.moduli().iter().all(|m| lazy_fold_window(m) == window), "{bits}-bit");
+            let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+            let sk = SecretKey::generate(&ctx, &mut rng);
+            let target = sk.s_squared_at_level(level);
+            let hint = DecompHint::generate(&sk, &target, level, 65537, 8, &mut rng);
+            for l in [level, 8] {
+                let x = RnsPoly::random_at_level(&ctx, l, &mut rng).to_ntt();
+                assert_eq!(
+                    hint.apply(&x),
+                    keyswitch_input_major(&hint, &x),
+                    "{bits}-bit primes, level {l}"
+                );
             }
         }
     }

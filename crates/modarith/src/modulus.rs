@@ -152,8 +152,8 @@ impl Modulus {
     /// `mu = floor(2^64/q)` is off by at most 1, so a single conditional
     /// subtract canonicalizes. Every hot caller stays far inside that
     /// bound — residue products are `< q² < 2^62` (`q < 2^31` is enforced
-    /// by [`Modulus::new`]) and the key-switch accumulators are sums of
-    /// `< 2^13` reduced terms, `< 2^44` — so the `x ≥ 2^63` fallback is a
+    /// by [`Modulus::new`]) and the key-switch's lazy `u64` accumulators
+    /// are folded before they can reach `2^63` — so the `x ≥ 2^63` fallback is a
     /// `#[cold]` plain division rather than a debug-only precondition:
     /// release builds reduce correctly for any input instead of silently
     /// returning garbage.

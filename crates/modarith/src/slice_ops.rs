@@ -70,8 +70,8 @@ pub fn mul_slice_into(m: &Modulus, out: &mut [u32], a: &[u32], b: &[u32]) {
     }
 }
 
-/// `acc[i] = acc[i] + a[i] * b[i] mod q` — the multiply-accumulate inner
-/// loop of key-switching (Listing 1 lines 9-10).
+/// `acc[i] = acc[i] + a[i] * b[i] mod q` — the fused multiply-accumulate
+/// of the ciphertext tensor product.
 #[inline]
 pub fn fma_slice(m: &Modulus, acc: &mut [u32], a: &[u32], b: &[u32]) {
     assert_eq!(acc.len(), a.len());

@@ -40,24 +40,48 @@ where
     F: Fn(usize, &mut [u32]) + Sync,
 {
     assert!(n > 0 && data.len().is_multiple_of(n), "buffer must hold whole limbs");
-    let limbs = data.len() / n;
+    run_grouped(data.chunks_exact_mut(n), n, &f);
+}
+
+/// [`par_limbs`] over two equally shaped buffers at once:
+/// `f(limb_index, a_limb, b_limb)` gets limb `i` of both, for kernels that
+/// produce two outputs per limb (the key-switch's `u0` and `u1`).
+///
+/// # Panics
+///
+/// Panics if the buffers differ in length or do not hold whole limbs.
+pub fn par_limb_pairs<F>(a: &mut [u32], b: &mut [u32], n: usize, f: F)
+where
+    F: Fn(usize, &mut [u32], &mut [u32]) + Sync,
+{
+    assert!(n > 0 && a.len().is_multiple_of(n), "buffer must hold whole limbs");
+    assert_eq!(a.len(), b.len(), "paired buffers must have the same shape");
+    let pairs = a.chunks_exact_mut(n).zip(b.chunks_exact_mut(n));
+    run_grouped(pairs, n, &|i, (x, y)| f(i, x, y));
+}
+
+/// Runs `f(index, item)` over per-limb items of `n` elements each:
+/// serially when [`limb_threads`] says so, else in contiguous groups, one
+/// scoped thread per group.
+fn run_grouped<T, F>(items: impl ExactSizeIterator<Item = T>, n: usize, f: &F)
+where
+    T: Send,
+    F: Fn(usize, T) + Sync,
+{
+    let limbs = items.len();
     let threads = limb_threads(limbs, n);
+    let mut items = items.enumerate();
     if threads <= 1 {
-        for (i, limb) in data.chunks_exact_mut(n).enumerate() {
-            f(i, limb);
-        }
+        items.for_each(|(i, item)| f(i, item));
         return;
     }
     let per_group = limbs.div_ceil(threads);
-    let f = &f;
-    rayon::scope(|s| {
-        for (g, group) in data.chunks_mut(per_group * n).enumerate() {
-            s.spawn(move || {
-                for (k, limb) in group.chunks_exact_mut(n).enumerate() {
-                    f(g * per_group + k, limb);
-                }
-            });
+    rayon::scope(|s| loop {
+        let group: Vec<(usize, T)> = items.by_ref().take(per_group).collect();
+        if group.is_empty() {
+            break;
         }
+        s.spawn(move || group.into_iter().for_each(|(i, item)| f(i, item)));
     });
 }
 
@@ -84,6 +108,15 @@ mod tests {
         });
         let want: Vec<u32> = (0..(limbs * n) as u32).collect();
         assert_eq!(par, want);
+        let (mut a, mut b) = (vec![0u32; limbs * n], vec![0u32; limbs * n]);
+        par_limb_pairs(&mut a, &mut b, n, |i, x, y| {
+            for (j, (x, y)) in x.iter_mut().zip(y.iter_mut()).enumerate() {
+                *x = (i * n + j) as u32;
+                *y = !*x;
+            }
+        });
+        assert_eq!(a, want);
+        assert!(a.iter().zip(&b).all(|(x, y)| *y == !*x));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::automorphism;
 use crate::ntt::NttTables;
-use crate::par::par_limbs;
+use crate::par::{par_limb_pairs, par_limbs};
 use f1_modarith::{primes, slice_ops, Modulus, UBig};
 use rand::distributions::Distribution;
 use rand::Rng;
@@ -336,10 +336,29 @@ impl RnsPoly {
         par_limbs(&mut self.data, ctx.n, |i, limb| f(i, &ctx.moduli[i], limb));
     }
 
+    /// [`RnsPoly::for_each_limb_mut`] over two polynomials of the same
+    /// shape: `f(limb_index, modulus, self_limb, other_limb)` in one
+    /// limb-parallel region (see [`crate::par::par_limb_pairs`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two polynomials differ in context or level.
+    pub fn for_each_limb_pair_mut<F>(&mut self, other: &mut Self, f: F)
+    where
+        F: Fn(usize, &Modulus, &mut [u32], &mut [u32]) + Sync,
+    {
+        assert!(Arc::ptr_eq(&self.ctx, &other.ctx), "polynomials from different contexts");
+        assert_eq!(self.level, other.level, "level mismatch: {} vs {}", self.level, other.level);
+        let ctx = self.ctx.clone();
+        par_limb_pairs(&mut self.data, &mut other.data, ctx.n, |i, a, b| {
+            f(i, &ctx.moduli[i], a, b);
+        });
+    }
+
     /// Re-tags the representation without transforming the data.
     ///
     /// For kernels that fill limbs with data already in the target
-    /// representation (e.g. the key-switch lift writes NTT-domain residues
+    /// representation (e.g. a lift that writes NTT-domain residues
     /// directly); the caller asserts the tag is truthful.
     pub fn assume_domain(&mut self, domain: Domain) {
         self.domain = domain;
@@ -350,18 +369,6 @@ impl RnsPoly {
     pub fn reset_zero(&mut self, level: usize, domain: Domain) {
         assert!(level >= 1 && level <= self.ctx.max_level());
         self.data.clear();
-        self.data.resize(level * self.ctx.n, 0);
-        self.level = level;
-        self.domain = domain;
-    }
-
-    /// Reshapes this polynomial to `level` limbs with the given domain tag
-    /// *without* zeroing: existing residues are unspecified (but
-    /// initialized) until the caller overwrites them. For scratch buffers
-    /// whose every element is about to be written — skips the `O(level*n)`
-    /// memset [`RnsPoly::reset_zero`] pays.
-    pub fn reshape_for_overwrite(&mut self, level: usize, domain: Domain) {
-        assert!(level >= 1 && level <= self.ctx.max_level());
         self.data.resize(level * self.ctx.n, 0);
         self.level = level;
         self.domain = domain;

@@ -99,6 +99,17 @@ impl BgvExecutor {
                 _ => {}
             }
         }
+        // Each ciphertext is dropped after the op that last reads it, so
+        // only live values stay resident; outputs are never dropped.
+        let mut last_use: Vec<Option<usize>> = vec![None; program.ops().len()];
+        for (idx, op) in program.ops().iter().enumerate() {
+            for a in ct_operands(op) {
+                last_use[a.0 as usize] = Some(idx);
+            }
+        }
+        for o in program.outputs() {
+            last_use[o.0 as usize] = None;
+        }
         // Homomorphic evaluation (timed — the server-side work F1
         // accelerates).
         let start = Instant::now();
@@ -138,6 +149,11 @@ impl BgvExecutor {
                     cts.insert(id, r);
                 }
             }
+            for a in ct_operands(op) {
+                if last_use[a.0 as usize] == Some(idx) {
+                    cts.remove(&a);
+                }
+            }
         }
         let eval_time = start.elapsed();
         let output_noise =
@@ -147,11 +163,43 @@ impl BgvExecutor {
     }
 }
 
+/// The ciphertext operands `op` reads (plaintext operands excluded).
+fn ct_operands(op: &HomOp) -> impl Iterator<Item = CtId> {
+    let (a, b) = match *op {
+        HomOp::Input { .. } | HomOp::PlainInput { .. } => (None, None),
+        HomOp::Add { a, b } | HomOp::Mul { a, b } => (Some(a), Some(b)),
+        HomOp::AddPlain { a, .. }
+        | HomOp::MulPlain { a, .. }
+        | HomOp::Aut { a, .. }
+        | HomOp::ModSwitch { a } => (Some(a), None),
+    };
+    a.into_iter().chain(b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use f1_fhe::encoding::SlotEncoder;
     use rand::SeedableRng;
+
+    #[test]
+    fn outputs_read_by_later_ops_stay_live() {
+        // Ciphertexts are dropped after their last read, except outputs:
+        // `y` is both an output and `z`'s last operand.
+        let params = BgvParams::test_small(64, 3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xDEAD);
+        let mut p = Program::new(64);
+        let x = p.input(3);
+        let y = p.add(x, x);
+        p.output(y);
+        let z = p.mul(y, y);
+        p.output(z);
+        let exec = BgvExecutor::new(params.clone(), &p, &mut rng);
+        let inputs = HashMap::from([(x, Plaintext::from_coeffs(&params, &[3]))]);
+        let run = exec.run(&p, &inputs, &HashMap::new(), &mut rng);
+        assert_eq!(run.outputs[0], Plaintext::from_coeffs(&params, &[6]));
+        assert_eq!(run.outputs[1], Plaintext::from_coeffs(&params, &[36]));
+    }
 
     #[test]
     fn functional_matvec_is_correct() {

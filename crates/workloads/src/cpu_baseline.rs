@@ -1,14 +1,19 @@
 //! The timed CPU software baseline for Table 3.
 //!
 //! The paper compares F1 against state-of-the-art software on a 4-core
-//! Xeon. Our baseline is `f1-fhe` itself (DESIGN.md §2.2): we *measure*
-//! each homomorphic operation class at the benchmark's exact `(N, L)` on
-//! the host, then charge the program's operation mix against those
-//! measurements. This per-op measurement approach keeps full-size
-//! baselines tractable (LoLa-CIFAR in software took the paper 20
-//! minutes); the measured per-op costs are real executions of the real
-//! scheme, not estimates. A parallel-efficiency factor measured with
-//! `std::thread::scope` models the paper's multicore baseline.
+//! Xeon. Our baseline is `f1-fhe` itself (DESIGN.md §2.2), but it is a
+//! model built on measurements, not a run at the benchmark's size:
+//! [`CpuBaseline::measure`] times each `(operation class, level)` pair
+//! the program uses on a real BGV instance at a reduced ring dimension
+//! `measure_n` (`BgvParams::test_small(measure_n, L)`), and
+//! [`CpuBaseline::estimate_seconds`] scales those costs to the
+//! benchmark's `N` by `N log N` and charges the program's operation mix
+//! against them. This keeps full-size baselines tractable (LoLa-CIFAR in
+//! software took the paper 20 minutes). A parallel-efficiency factor
+//! measured with `std::thread::scope` models the paper's multicore
+//! baseline. [`CpuBaseline::measure_direct`] instead times a whole
+//! program through the functional simulator, which validates the model
+//! on small programs.
 
 use f1_compiler::dsl::{HomOp, Program};
 use f1_fhe::bgv::{KeySet, Plaintext};
