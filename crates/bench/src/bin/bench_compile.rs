@@ -1,8 +1,6 @@
 //! Compile-time benchmark: per-pass wall-clock over the benchmark
-//! suite, a synthetic stress program ~10× the largest benchmark
-//! (compiled both flat and via the rolled-loop stamping fast path,
-//! which must agree byte for byte), the schedule cache's cold/hit
-//! cost, and serial-vs-parallel determinism.
+//! suite, a synthetic stress program ~10× the largest benchmark, the
+//! schedule cache's cold/hit cost, and serial-vs-parallel determinism.
 //!
 //! ```text
 //! cargo run -p f1-bench --release --bin bench_compile            # full scale
@@ -28,9 +26,8 @@
 //!
 //! Timings are wall-clock and machine-dependent; the *gates* are chosen
 //! to hold on any multi-core runner (and the hardest ones —
-//! byte-identical parallel schedules, byte-identical rolled-vs-flat
-//! stress schedules, ≥10× cache-hit speedup — are machine-independent
-//! by construction). The committed
+//! byte-identical parallel schedules, ≥10× cache-hit speedup — are
+//! machine-independent by construction). The committed
 //! `BENCH_compile.json` records a full-scale run; the seed baseline it
 //! gates pass 3 against was measured at commit 82ebae9 on the same
 //! machine that produced the committed report.
@@ -42,7 +39,7 @@ use f1_compiler::dsl::Program;
 use f1_compiler::expand::{self, ExpandOptions};
 use f1_compiler::ir::{FheProgram, Scheme};
 use f1_compiler::par::with_compile_threads;
-use f1_compiler::{compile_rolled, cycle, movement, RolledOutcome};
+use f1_compiler::{cycle, movement};
 use f1_workloads::all_benchmarks;
 use std::time::Instant;
 
@@ -94,29 +91,6 @@ impl PassTimes {
     }
 }
 
-/// Rolled-vs-flat stress comparison: the flat path unrolls and runs the
-/// full pipeline; the rolled path compiles an iteration window and
-/// stamps the rest. `verify_s` (the stamped-schedule checker) sits
-/// outside both totals — it is the trust anchor, not a compile phase.
-struct RolledRow {
-    trips: u32,
-    rolled_nodes: usize,
-    unrolled_nodes: usize,
-    base_trips: u32,
-    k: u64,
-    flat_frontend_s: f64,
-    flat_total_s: f64,
-    probe_s: f64,
-    materialize_s: f64,
-    rolled_total_s: f64,
-    verify_s: f64,
-    speedup: f64,
-    makespan: u64,
-    fingerprint: u64,
-    equal: bool,
-    cache_distinct: bool,
-}
-
 /// Times the three passes separately and fingerprints the emitted
 /// schedule. Also returns the artifacts for cache seeding.
 fn time_passes(
@@ -146,12 +120,11 @@ fn time_passes(
     (pt, (ex, plan, cs))
 }
 
-/// Builds the synthetic stress program as a *rolled* loop region: the
-/// steady-state square → rotate → add chain the schedule-stamping
-/// analysis targets, with the trip count calibrated (via two cheap
-/// truncation compiles) so the unrolled expanded-DFG instruction count
-/// lands near `target_instrs`.
-fn stress_rolled(n: usize, l: usize, target_instrs: usize, arch: &ArchConfig) -> FheProgram {
+/// Builds the synthetic stress program as a rolled loop region of
+/// square → rotate → add steps, with the trip count calibrated (via two
+/// cheap truncation compiles) so the unrolled expanded-DFG instruction
+/// count lands near `target_instrs`.
+fn stress_program(n: usize, l: usize, target_instrs: usize, arch: &ArchConfig) -> FheProgram {
     let chain = |trips: u32| {
         let mut p = FheProgram::new(n, Scheme::Bgv);
         let acc = p.input(l);
@@ -171,8 +144,8 @@ fn stress_rolled(n: usize, l: usize, target_instrs: usize, arch: &ArchConfig) ->
     let base = instrs_at(8);
     let probe = instrs_at(12);
     let per_trip = (probe.saturating_sub(base) / 4).max(1);
-    // Floor of 18 extra trips keeps the program inside the stamping
-    // engine's eligibility window even for tiny targets.
+    // The floor of 18 extra trips only matters for tiny targets; it
+    // stays so the committed stress size (and its fingerprint) holds.
     let trips = 8 + (target_instrs.saturating_sub(base) / per_trip).max(18) as u32;
     chain(trips)
 }
@@ -291,98 +264,23 @@ fn main() {
     }
 
     // --- Stress program: ~10× the largest benchmark's expanded size at
-    // full scale (~2× in quick mode, to keep CI smoke fast). The program
-    // is a rolled loop region, compiled twice: once flat (unroll, then
-    // the ordinary three passes — the committed baseline path) and once
-    // through the stamping fast path, which compiles a fixed iteration
-    // window and relocates it across the remaining trips. Both must
-    // produce byte-identical schedules; the wall-clock ratio is the
-    // rolled speedup this report gates.
+    // full scale (~2× in quick mode, to keep CI smoke fast), built as a
+    // rolled loop region and compiled flat: unroll, optimize, lower, then
+    // the three scheduling passes, all single-threaded.
     let mut stress: Option<PassTimes> = None;
-    let mut rolled: Option<RolledRow> = None;
     if !expect_hit {
         let largest = rows.iter().max_by_key(|r| r.instrs).expect("suite is non-empty");
         let factor = if quick { 2 } else { 10 };
         let (n, l) = (1 << 10, 6);
-        let sp = stress_rolled(n, l, largest.instrs * factor, &arch);
+        let sp = stress_program(n, l, largest.instrs * factor, &arch);
         let trips = sp.repeats()[0].trips;
-        let rolled_nodes = sp.nodes().len();
-        let unrolled_nodes = sp.unrolled_len();
-
-        // Flat baseline: frontend (unroll + optimize + lower), then the
-        // three scheduling passes, all single-threaded for fairness.
-        let t0 = Instant::now();
-        let (flat_frontend_s, lowered) = with_compile_threads(1, || {
-            let (opt, _) = sp.unroll().optimize();
-            let lowered = opt.lower();
-            (t0.elapsed().as_secs_f64(), lowered)
-        });
+        let lowered = with_compile_threads(1, || sp.unroll().optimize().0.lower());
         let (pt, _) =
             with_compile_threads(1, || time_passes("synthetic-stress", &lowered.program, &arch));
-        drop(lowered);
-        let flat_total_s = flat_frontend_s + pt.total_s();
         println!(
             "stress ({}x largest, {} trips): {} instrs  expand {:.2}s  movement {:.2}s  cycle {:.2}s",
             factor, trips, pt.instrs, pt.expand_s, pt.movement_s, pt.cycle_s
         );
-
-        // Rolled fast path.
-        let t0 = Instant::now();
-        let rc = with_compile_threads(1, || compile_rolled(&sp, &arch));
-        let rolled_total_s = t0.elapsed().as_secs_f64();
-        let st = match &rc.outcome {
-            RolledOutcome::Stamped(st) => st,
-            RolledOutcome::Flat { reason } => {
-                panic!("stress program must take the stamped path, fell back flat: {reason}")
-            }
-        };
-        // Independent verification of the stamped schedule. Not counted
-        // toward the speedup: it is the trust anchor, not a compile
-        // phase, and the flat path's schedule is not checked here either.
-        let t0 = Instant::now();
-        f1_sim::check_stamped(st, &rc.schedule, &arch);
-        let verify_s = t0.elapsed().as_secs_f64();
-        let rolled_fp = fnv_debug(&rc.schedule.schedule);
-        let equal = rc.schedule.makespan == pt.makespan && rolled_fp == pt.fingerprint;
-        let speedup = flat_total_s / rolled_total_s.max(1e-9);
-
-        // Rolled and unrolled forms of the same program must occupy
-        // distinct schedule-cache entries (the `repeats` field is part
-        // of the serialized key); probe with a small trip count so the
-        // check costs microseconds.
-        let small = sp.with_trips(0, 26);
-        let cache_distinct = cache::fhe_entry_path(&small, &arch, &None)
-            != cache::fhe_entry_path(&small.unroll(), &arch, &None);
-
-        println!(
-            "rolled: probe {:.2}s + materialize {:.2}s = {:.2}s vs flat {:.2}s ({:.1}x), \
-             schedules {}, verify {:.2}s",
-            st.info.probe_s,
-            st.info.materialize_s,
-            rolled_total_s,
-            flat_total_s,
-            speedup,
-            if equal { "byte-identical" } else { "DIVERGED" },
-            verify_s
-        );
-        rolled = Some(RolledRow {
-            trips,
-            rolled_nodes,
-            unrolled_nodes,
-            base_trips: st.info.base_trips,
-            k: st.info.k,
-            flat_frontend_s,
-            flat_total_s,
-            probe_s: st.info.probe_s,
-            materialize_s: st.info.materialize_s,
-            rolled_total_s,
-            verify_s,
-            speedup,
-            makespan: rc.schedule.makespan,
-            fingerprint: rolled_fp,
-            equal,
-            cache_distinct,
-        });
         stress = Some(pt);
     }
 
@@ -422,19 +320,11 @@ fn main() {
     let par_speedup = serial_suite_s / parallel_suite_s.max(1e-9);
     let par_pass = !par_enforced || par_speedup >= 1.8;
     let hits_pass = !expect_hit || misses == 0;
-    // The rolled gates only have meaning when the stress section ran;
-    // under --expect-hit they are skipped (like the other timing gates).
-    let rolled_required = if quick { 2.0 } else { 10.0 };
-    let rolled_enforced = !expect_hit;
-    let rolled_speedup = rolled.as_ref().map_or(0.0, |r| r.speedup);
-    let rolled_speedup_pass = !rolled_enforced || rolled_speedup >= rolled_required;
-    let rolled_equal_pass = !rolled_enforced || rolled.as_ref().is_some_and(|r| r.equal);
-    let rolled_cache_pass = !rolled_enforced || rolled.as_ref().is_some_and(|r| r.cache_distinct);
 
     // --- JSON report.
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"f1-bench-compile-v2\",\n");
+    out.push_str("  \"schema\": \"f1-bench-compile-v3\",\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
@@ -475,32 +365,6 @@ fn main() {
             r.fingerprint
         )),
         None => out.push_str("  \"stress\": null,\n"),
-    }
-    match &rolled {
-        Some(r) => out.push_str(&format!(
-            "  \"rolled\": {{\"trips\": {}, \"rolled_nodes\": {}, \"unrolled_nodes\": {}, \
-             \"base_trips\": {}, \"k\": {}, \"flat_frontend_s\": {}, \"flat_total_s\": {}, \
-             \"probe_s\": {}, \"materialize_s\": {}, \"rolled_total_s\": {}, \"verify_s\": {}, \
-             \"speedup\": {}, \"makespan\": {}, \"fingerprint\": \"{:016x}\", \"equal\": {}, \
-             \"cache_distinct\": {}}},\n",
-            r.trips,
-            r.rolled_nodes,
-            r.unrolled_nodes,
-            r.base_trips,
-            r.k,
-            json_num(r.flat_frontend_s),
-            json_num(r.flat_total_s),
-            json_num(r.probe_s),
-            json_num(r.materialize_s),
-            json_num(r.rolled_total_s),
-            json_num(r.verify_s),
-            json_num(r.speedup),
-            r.makespan,
-            r.fingerprint,
-            r.equal,
-            r.cache_distinct
-        )),
-        None => out.push_str("  \"rolled\": null,\n"),
     }
     out.push_str(&format!(
         "  \"cache\": {{\"benchmark\": \"{}\", \"cold_s\": {}, \"hit_s\": {}, \"speedup\": {}, \
@@ -545,19 +409,6 @@ fn main() {
         json_num(par_speedup),
         par_enforced,
         par_pass
-    ));
-    out.push_str(&format!(
-        "    \"rolled_speedup\": {{\"required\": {}, \"actual\": {}, \"enforced\": {}, \"pass\": {}}},\n",
-        json_num(rolled_required),
-        json_num(rolled_speedup),
-        rolled_enforced,
-        rolled_speedup_pass
-    ));
-    out.push_str(&format!(
-        "    \"rolled_equal\": {{\"enforced\": {rolled_enforced}, \"pass\": {rolled_equal_pass}}},\n"
-    ));
-    out.push_str(&format!(
-        "    \"rolled_cache_distinct\": {{\"enforced\": {rolled_enforced}, \"pass\": {rolled_cache_pass}}},\n"
     ));
     out.push_str(&format!(
         "    \"cache_hits\": {{\"enforced\": {}, \"pass\": {}}}\n",
@@ -623,15 +474,6 @@ fn main() {
         }
         if !par_pass {
             failed.push(format!("parallel_suite_speedup ({par_speedup:.2} < 1.8)"));
-        }
-        if !rolled_speedup_pass {
-            failed.push(format!("rolled_speedup ({rolled_speedup:.2} < {rolled_required})"));
-        }
-        if !rolled_equal_pass {
-            failed.push("rolled_equal (stamped schedule diverged from flat compile)".to_string());
-        }
-        if !rolled_cache_pass {
-            failed.push("rolled_cache_distinct (rolled/unrolled share a cache entry)".to_string());
         }
         if !hits_pass {
             failed.push(format!("cache_hits ({misses} miss(es) under --expect-hit)"));

@@ -230,10 +230,9 @@ pub fn store_dsl(
 }
 
 /// Artifact path a [`compile_fhe_cached`] call for these inputs uses.
-/// The key serializes the program *as written* — a rolled program and
-/// its unrolling are semantically equivalent but occupy distinct
-/// entries (`repeats` is part of `FheProgram`'s serialization), so the
-/// sublinear rolled path and the flat path never collide in the cache.
+/// The key hashes the program *as written*: `repeats` is part of
+/// `FheProgram`'s serialization, so a rolled program and its unrolling
+/// compile to the same schedule but occupy distinct entries.
 pub fn fhe_entry_path(
     program: &FheProgram,
     arch: &ArchConfig,
@@ -340,18 +339,21 @@ mod tests {
     #[test]
     fn rolled_and_unrolled_programs_use_distinct_entries() {
         // A rolled program and its unrolling produce byte-identical
-        // schedules but must never share a cache entry: the key hashes
-        // the program as written (the `repeats` field serializes), so
-        // the sublinear path's artifacts cannot shadow the flat path's.
+        // schedules but never share a cache entry: the key hashes the
+        // program as written (the `repeats` field serializes).
         use crate::ir::Scheme;
+        fn rolled(trips: u32) -> FheProgram {
+            let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
+            let acc = p.input(6);
+            let t = p.begin_repeat();
+            let m = p.square(acc);
+            let acc2 = p.add(m, m);
+            p.end_repeat(t, trips, vec![(acc, acc2)], vec![]);
+            p.output(acc2);
+            p
+        }
         let arch = ArchConfig::f1_default();
-        let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-        let acc = p.input(6);
-        let t = p.begin_repeat();
-        let m = p.square(acc);
-        let acc2 = p.add(m, m);
-        p.end_repeat(t, 4, vec![(acc, acc2)], vec![]);
-        p.output(acc2);
+        let p = rolled(4);
         let flat = p.unroll();
         assert_ne!(
             fhe_entry_path(&p, &arch, &None),
@@ -359,10 +361,7 @@ mod tests {
             "rolled and unrolled forms must hash to distinct cache entries"
         );
         // Trip count is part of the key too: re-trip and the entry moves.
-        assert_ne!(
-            fhe_entry_path(&p, &arch, &None),
-            fhe_entry_path(&p.with_trips(0, 5), &arch, &None),
-        );
+        assert_ne!(fhe_entry_path(&p, &arch, &None), fhe_entry_path(&rolled(5), &arch, &None));
     }
 
     #[test]

@@ -192,9 +192,8 @@ pub struct NodeStep {
 /// substitution: loop-carried operands re-bind to the previous
 /// iteration's clone, and [`NodeStep`]-stepped fields move affinely in
 /// `i`. [`FheProgram::unroll`] performs that expansion (with full type
-/// re-inference per iteration); the scheduling pipeline may instead keep
-/// the region symbolic and stamp one iteration's schedule `trips` times
-/// (see `crate::stamp`).
+/// re-inference per iteration); [`crate::compile_fhe`] unrolls before
+/// any pass runs, so a region is only a compact way to build a program.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RepeatSpec {
     /// First body node.
@@ -242,8 +241,8 @@ pub struct FheProgram {
     next_ct_ordinal: u32,
     next_pt_ordinal: u32,
     /// Rolled loop regions, in ascending, non-overlapping node order.
-    /// Part of the serialized form, so a rolled program and its
-    /// unrolling are distinct cache keys.
+    /// Part of the serialized form: the cache key hashes the program as
+    /// written, so a rolled program and its unrolling are distinct keys.
     repeats: Vec<RepeatSpec>,
 }
 
@@ -683,22 +682,6 @@ impl FheProgram {
         &self.repeats
     }
 
-    /// Node count after unrolling every repeat (without materializing).
-    pub fn unrolled_len(&self) -> usize {
-        self.nodes.len()
-            + self.repeats.iter().map(|r| (r.trips as usize - 1) * r.len as usize).sum::<usize>()
-    }
-
-    /// A copy of this program with repeat region `repeat`'s trip count
-    /// replaced — the truncation primitive the stamping engine probes
-    /// with.
-    pub fn with_trips(&self, repeat: usize, trips: u32) -> FheProgram {
-        assert!(trips >= 1);
-        let mut q = self.clone();
-        q.repeats[repeat].trips = trips;
-        q
-    }
-
     /// Unrolls every rolled region into flat IR. Equivalent to having
     /// built each iteration by hand: clones are re-typed from their
     /// operands per iteration, carried operands re-bind to the previous
@@ -961,7 +944,7 @@ impl FheProgram {
         assert!(
             self.repeats.is_empty(),
             "optimize() operates on flat IR; call unroll() first (compile_fhe does this \
-             automatically, and the stamping path optimizes truncated unrollings)"
+             automatically)"
         );
         passes::optimize(self)
     }
@@ -1132,7 +1115,6 @@ mod tests {
         for trips in [1u32, 2, 7] {
             let rolled = rolled_chain(6, trips);
             assert_eq!(rolled.validate(), 4);
-            assert_eq!(rolled.unrolled_len(), 1 + 3 * trips as usize);
             let flat = flat_chain(6, trips);
             let un = rolled.unroll();
             assert_eq!(un.nodes(), flat.nodes());
@@ -1234,13 +1216,6 @@ mod tests {
             })
             .collect();
         assert_eq!(ks, vec![3, 5, 7, 9]);
-    }
-
-    #[test]
-    fn with_trips_truncates() {
-        let p = rolled_chain(6, 40);
-        let p8 = p.with_trips(0, 8);
-        assert_eq!(p8.unroll().nodes(), flat_chain(6, 8).nodes());
     }
 
     #[test]

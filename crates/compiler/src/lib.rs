@@ -49,7 +49,6 @@ pub mod expand;
 pub mod ir;
 pub mod movement;
 pub mod par;
-pub mod stamp;
 
 pub use analysis::{AnalysisReport, Analyzer, Diagnostic, Severity};
 pub use cycle::CycleSchedule;
@@ -59,9 +58,6 @@ pub use ir::{
     FheProgram, IrId, Lowered, NodeStep, NoisePolicy, OptStats, RepeatSpec, RescaleStats, Scheme,
 };
 pub use movement::MovePlan;
-pub use stamp::{
-    compile_rolled, Relocation, RolledCompile, RolledOutcome, StampInfo, StampedSchedule,
-};
 
 /// Compiles a DSL program end-to-end with default options, returning the
 /// expanded DFG, the data-movement plan and the cycle-level schedule.
@@ -114,8 +110,7 @@ pub fn compile_fhe_with(
     policy: Option<NoisePolicy>,
 ) -> (Lowered, OptStats, Expanded, MovePlan, CycleSchedule) {
     // Rolled loop regions unroll here: every pass below this point sees
-    // flat IR. (`stamp::compile_rolled` is the sublinear alternative that
-    // keeps the region symbolic.)
+    // flat IR, as F1's control-flow-free schedule requires (§3).
     let unrolled;
     let program = if program.repeats().is_empty() {
         program

@@ -27,6 +27,6 @@ pub mod checker;
 pub mod functional;
 pub mod replay;
 
-pub use checker::{check_schedule, check_stamped, check_streams, SimReport, Timeline};
+pub use checker::{check_schedule, check_streams, SimReport, Timeline};
 pub use functional::{bind_constants, BgvExecutor, FunctionalRun};
 pub use replay::{eval_dfg, mock_inputs, replay_schedule};

@@ -36,35 +36,17 @@ pub struct Benchmark {
     /// Which scheme the original uses (typing only — at the instruction
     /// level all schemes lower identically, the paper's point, §2.5).
     pub scheme: Scheme,
-    /// Frontend node count of the *rolled* form when the builder uses a
-    /// [`f1_compiler::ir::RepeatSpec`] region (loop body stored once);
-    /// `None` when the builder is inherently flat. Compare against
-    /// `fhe.nodes().len()` for the unrolled size.
-    pub rolled_nodes: Option<usize>,
 }
 
 impl Benchmark {
     /// Optimizes and lowers a built frontend program.
     fn finish(name: &'static str, l: usize, fhe: FheProgram, scale: usize) -> Self {
-        Self::finish_rolled(name, l, fhe, scale, None)
-    }
-
-    /// [`Self::finish`] for builders that constructed (part of) the
-    /// program as a rolled region: records the rolled node count next to
-    /// the flat program all downstream consumers see.
-    fn finish_rolled(
-        name: &'static str,
-        l: usize,
-        fhe: FheProgram,
-        scale: usize,
-        rolled_nodes: Option<usize>,
-    ) -> Self {
         let n = fhe.n;
         let scheme = fhe.scheme();
         let program_unopt = fhe.lower().program;
         let (optimized, opt) = fhe.optimize();
         let program = optimized.lower().program;
-        Benchmark { name, n, l, fhe, program, program_unopt, opt, scale, scheme, rolled_nodes }
+        Benchmark { name, n, l, fhe, program, program_unopt, opt, scale, scheme }
     }
 
     /// Justification recorded when the analyzer demotes
@@ -490,9 +472,7 @@ pub fn ckks_bootstrapping(scale: usize) -> Benchmark {
         vec![(re, new_re), (im, new_im), (z, z_next)],
         vec![(c, NodeStep { d_ordinal: 1, d_level: -1, d_k: 0 })],
     );
-    let rolled_prefix = p.nodes().len();
     let (mut p, map) = p.unroll_map();
-    let unrolled_at_loop = p.nodes().len();
     re = map[new_re.0 as usize];
     im = map[new_im.0 as usize];
     // Double-angle squarings: 3 muls per step.
@@ -508,8 +488,7 @@ pub fn ckks_bootstrapping(scale: usize) -> Benchmark {
     let c_final = p.plain_input(p.level_of(im));
     let out = p.mul_plain(im, c_final);
     p.output(out);
-    let rolled_nodes = rolled_prefix + (p.nodes().len() - unrolled_at_loop);
-    Benchmark::finish_rolled("CKKS Bootstrapping", l_max, p, scale, Some(rolled_nodes))
+    Benchmark::finish("CKKS Bootstrapping", l_max, p, scale)
 }
 
 #[cfg(test)]
@@ -595,20 +574,6 @@ mod tests {
                 format!("{:?}", hand),
                 "scale {scale}: rolled builder diverges from the handwritten loop"
             );
-            let rolled_nodes = rolled.rolled_nodes.expect("CKKS boot reports its rolled size");
-            assert!(
-                rolled_nodes <= rolled.fhe.nodes().len(),
-                "rolled form ({rolled_nodes} nodes) cannot exceed unrolled ({})",
-                rolled.fhe.nodes().len()
-            );
-            if scale == 1 {
-                // At full scale the Taylor loop runs 7 steps: 6 stamped
-                // trips of 7-node body each, so 5 × 7 nodes are saved.
-                assert!(
-                    rolled_nodes < rolled.fhe.nodes().len(),
-                    "full-scale rolled form must be strictly smaller"
-                );
-            }
         }
     }
 

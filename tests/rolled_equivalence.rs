@@ -1,110 +1,128 @@
-//! Rolled-vs-unrolled equivalence: `compile_rolled` (which proves an
-//! iteration window periodic and stamps the remaining trips when it
-//! can) must be invisible in the output — against the flat pipeline's
-//! compile of the same program, the makespan delta must be exactly 0
-//! and the FNV fingerprints of the emitted `StaticSchedule` streams
-//! must be byte-identical, whether the stamping fast path engaged or
-//! the compile fell back flat.
+//! Rolled-vs-handwritten equivalence at the IR level: unrolling a
+//! `Repeat` region must reproduce, node for node, the program a user
+//! would get by writing the same body out `trips` times by hand — same
+//! nodes, types, ordinals, outputs and ordinal counters (the two
+//! programs' `Debug` renderings are identical) — and the unrolled
+//! program must pass `validate()`. `compile_fhe` unrolls before any pass
+//! runs, so this is the whole contract a rolled region has to keep.
 
-use f1::arch::ArchConfig;
-use f1::compiler::ir::{FheProgram, Scheme};
-use f1::compiler::{compile_fhe, compile_rolled, CycleSchedule, RolledOutcome};
+use f1::compiler::ir::{FheProgram, IrId, NodeStep, Scheme};
 use proptest::prelude::*;
 
-/// FNV-1a over the schedule's stream debug rendering — the repo's
-/// fingerprint idiom.
-fn fnv_fingerprint(cs: &CycleSchedule) -> u64 {
-    let s = format!("{:?}", cs.schedule);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+const N: usize = 1 << 10;
 
-/// Random single-carry loop at a fixed level: each opcode byte appends
-/// one level-preserving node reading earlier body values (so iterations
-/// are structurally uniform — the shape the stamping engine targets),
-/// and the last body node carries back to the loop input.
-fn rolled_program(ops: &[u8], trips: u32) -> FheProgram {
-    let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-    let acc = p.input(6);
-    let t = p.begin_repeat();
-    let mut vals = vec![acc];
+/// Appends one loop body to `p` and returns its last value. Each opcode
+/// byte appends one node (or an input plus the node consuming it)
+/// reading earlier body values. `it` is the iteration being written: the
+/// rolled build passes 0 and records the per-iteration `steps`; the
+/// handwritten build passes each iteration index and applies the same
+/// steps itself. With `descend` the body first mod-switches the carried
+/// value, so every iteration runs one level lower and its inputs step
+/// their level by -1.
+fn body(
+    p: &mut FheProgram,
+    ops: &[u8],
+    acc: IrId,
+    inv: Option<IrId>,
+    descend: bool,
+    it: usize,
+    steps: &mut Vec<(IrId, NodeStep)>,
+) -> IrId {
+    let kind = |op: u8| op % 6;
+    let ct_inputs = ops.iter().filter(|&&op| kind(op) == 4).count() as i64;
+    let pt_inputs = ops.iter().filter(|&&op| kind(op) == 5).count() as i64;
+    let d_level = if descend { -1 } else { 0 };
+    let mut vals = if descend { vec![p.mod_switch(acc)] } else { vec![acc] };
+    vals.extend(inv);
     for &op in ops {
         let a = vals[(op as usize / 8) % vals.len()];
         let b = vals[(op as usize / 64) % vals.len()];
-        let v = match op % 4 {
+        let level = p.level_of(a);
+        let v = match kind(op) {
             0 => p.square(a),
-            1 => p.aut(a, [3, 5, 9][(op as usize / 4) % 3]),
+            1 => {
+                let k = [3, 5, 9][(op as usize / 4) % 3];
+                let d_k = [0, 2, 4][(op as usize / 16) % 3];
+                let r = p.aut(a, (k + it * d_k) % (2 * N));
+                if d_k != 0 {
+                    steps.push((r, NodeStep { d_k: d_k as i64, ..NodeStep::default() }));
+                }
+                r
+            }
             2 => p.add(a, b),
-            _ => p.mul(a, b),
+            3 => p.mul(a, b),
+            4 => {
+                let x = p.input(level);
+                steps.push((x, NodeStep { d_ordinal: ct_inputs, d_level, d_k: 0 }));
+                p.add(a, x)
+            }
+            _ => {
+                let c = p.plain_input(level);
+                steps.push((c, NodeStep { d_ordinal: pt_inputs, d_level, d_k: 0 }));
+                p.mul_plain(a, c)
+            }
         };
         vals.push(v);
     }
-    let last = *vals.last().expect("body is non-empty");
-    p.end_repeat(t, trips, vec![(acc, last)], vec![]);
+    *vals.last().expect("vals is non-empty")
+}
+
+/// The carried value's entry level: enough for `trips` descending
+/// iterations, a fixed 6 otherwise.
+fn entry_level(trips: u32, descend: bool) -> usize {
+    if descend {
+        trips as usize + 2
+    } else {
+        6
+    }
+}
+
+/// The body as one `Repeat` region of `trips` iterations. Without
+/// `descend`, a loop-invariant input defined before the region is also
+/// readable from the body.
+fn rolled_program(ops: &[u8], trips: u32, descend: bool) -> FheProgram {
+    let mut p = FheProgram::new(N, Scheme::Bgv);
+    let acc = p.input(entry_level(trips, descend));
+    let inv = (!descend).then(|| p.input(entry_level(trips, descend)));
+    let t = p.begin_repeat();
+    let mut steps = Vec::new();
+    let last = body(&mut p, ops, acc, inv, descend, 0, &mut steps);
+    p.end_repeat(t, trips, vec![(acc, last)], steps);
     p.output(last);
     p
 }
 
-fn assert_equivalent(p: &FheProgram, what: &str) {
-    let arch = ArchConfig::f1_default();
-    let rolled = compile_rolled(p, &arch);
-    let (_, _, _, _, flat) = compile_fhe(p, &arch);
-    let path = match &rolled.outcome {
-        RolledOutcome::Stamped(_) => "stamped",
-        RolledOutcome::Flat { .. } => "flat",
-    };
-    assert_eq!(
-        rolled.schedule.makespan, flat.makespan,
-        "{path} path, {what}: makespan delta must be exactly 0"
-    );
-    assert_eq!(
-        fnv_fingerprint(&rolled.schedule),
-        fnv_fingerprint(&flat),
-        "{path} path, {what}: StaticSchedule stream fingerprints differ"
-    );
+/// The same body written out `trips` times by hand.
+fn handwritten_program(ops: &[u8], trips: u32, descend: bool) -> FheProgram {
+    let mut p = FheProgram::new(N, Scheme::Bgv);
+    let mut acc = p.input(entry_level(trips, descend));
+    let inv = (!descend).then(|| p.input(entry_level(trips, descend)));
+    for it in 0..trips as usize {
+        acc = body(&mut p, ops, acc, inv, descend, it, &mut Vec::new());
+    }
+    p.output(acc);
+    p
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn rolled_compile_matches_unrolled_compile(
-        ops in proptest::collection::vec(0u8..=255, 1..6),
-        // Low draws land in 4..12 trips (flat fallback), high draws in
-        // 26..40 (stamping fast path); both must agree with the flat
-        // pipeline.
-        raw_trips in 0u32..22,
+    fn unrolled_region_matches_handwritten_body(
+        ops in proptest::collection::vec(0u8..=255, 1..8),
+        trips in 1u32..40,
+        descend in 0u8..2,
     ) {
-        let trips = if raw_trips < 8 { 4 + raw_trips } else { 26 + (raw_trips - 8) };
-        assert_equivalent(&rolled_program(&ops, trips), &format!("{trips} trips, ops {ops:?}"));
+        let descend = descend == 1;
+        let rolled = rolled_program(&ops, trips, descend);
+        rolled.validate();
+        let unrolled = rolled.unroll();
+        unrolled.validate();
+        prop_assert!(unrolled.repeats().is_empty());
+        prop_assert_eq!(
+            format!("{unrolled:?}"),
+            format!("{:?}", handwritten_program(&ops, trips, descend)),
+            "{} trips, descend {}, ops {:?}", trips, descend, ops
+        );
     }
-}
-
-#[test]
-fn canonical_chain_takes_the_stamped_path_and_matches() {
-    // A known-periodic body must actually engage the fast path (the
-    // proptest above would silently pass if everything fell back flat).
-    let arch = ArchConfig::f1_default();
-    let mut p = FheProgram::new(1 << 10, Scheme::Bgv);
-    let acc = p.input(6);
-    let t = p.begin_repeat();
-    let m = p.square(acc);
-    let r = p.aut(m, 9);
-    let acc2 = p.add(r, m);
-    p.end_repeat(t, 30, vec![(acc, acc2)], vec![]);
-    p.output(acc2);
-    let rolled = compile_rolled(&p, &arch);
-    assert!(
-        matches!(rolled.outcome, RolledOutcome::Stamped(_)),
-        "expected the stamped path: {:?}",
-        match &rolled.outcome {
-            RolledOutcome::Flat { reason } => reason.clone(),
-            _ => String::new(),
-        }
-    );
-    assert_equivalent(&p, "canonical square/rotate/add chain at 30 trips");
 }
