@@ -1025,6 +1025,105 @@ mod tests {
         assert_eq!(o.probe(0, 1), 30);
     }
 
+    /// Oracle for [`Occupancy`]: the same timeline, with every probe and
+    /// commit binary-searching the whole interval vector.
+    #[derive(Default)]
+    struct FullSearchOccupancy {
+        busy: Vec<(u64, u64)>,
+    }
+
+    impl FullSearchOccupancy {
+        fn probe(&self, ready: u64, len: u64) -> u64 {
+            let mut t = ready;
+            let i = self.busy.partition_point(|&(_, end)| end <= t);
+            for &(s, e) in &self.busy[i..] {
+                if t + len <= s {
+                    break;
+                }
+                t = t.max(e);
+            }
+            t
+        }
+
+        fn commit(&mut self, start: u64, len: u64) {
+            if len == 0 {
+                return;
+            }
+            let end = start + len;
+            let pos = self.busy.partition_point(|&(s, _)| s < start);
+            let glue_prev = pos > 0 && self.busy[pos - 1].1 == start;
+            let glue_next = pos < self.busy.len() && self.busy[pos].0 == end;
+            match (glue_prev, glue_next) {
+                (true, true) => {
+                    self.busy[pos - 1].1 = self.busy[pos].1;
+                    self.busy.remove(pos);
+                }
+                (true, false) => self.busy[pos - 1].1 = end,
+                (false, true) => self.busy[pos].0 = start,
+                (false, false) => self.busy.insert(pos, (start, end)),
+            }
+        }
+    }
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    #[test]
+    fn occupancy_matches_full_search_oracle() {
+        let empty = Occupancy::default();
+        assert_eq!((empty.probe(7, 0), empty.probe(7, 1)), (7, 7));
+        let (mut glued_one, mut glued_both) = (0, 0);
+        // (seed, largest gap after the tail, longest request): sparse
+        // timelines rarely coalesce, packed ones mostly do.
+        for (seed, max_gap, max_len) in [(1u64, 200u64, 8u64), (2, 3, 40), (3, 0, 16), (4, 1, 1)] {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let mut occ = Occupancy::default();
+            let mut oracle = FullSearchOccupancy::default();
+            for _ in 0..2000 {
+                let len = match xorshift(&mut rng) % 8 {
+                    0 => 0,
+                    1 => 1,
+                    _ => 1 + xorshift(&mut rng) % max_len,
+                };
+                let tail = oracle.busy.last().map_or(0, |&(_, e)| e);
+                let ready = match xorshift(&mut rng) % 5 {
+                    0 => tail + xorshift(&mut rng) % (max_gap + 1),
+                    1 => tail.saturating_sub(xorshift(&mut rng) % 64),
+                    // Far behind the tail, anywhere in the timeline.
+                    2 => xorshift(&mut rng) % (tail + 1),
+                    // Flush against an existing interval, on either side.
+                    k if !oracle.busy.is_empty() => {
+                        let (s, e) = oracle.busy[xorshift(&mut rng) as usize % oracle.busy.len()];
+                        if k == 3 {
+                            e
+                        } else {
+                            s.saturating_sub(len)
+                        }
+                    }
+                    _ => 0,
+                };
+                let start = occ.probe(ready, len);
+                assert_eq!(start, oracle.probe(ready, len), "probe({ready}, {len})");
+                if xorshift(&mut rng) % 4 != 0 {
+                    let before = oracle.busy.len();
+                    occ.commit(start, len);
+                    oracle.commit(start, len);
+                    assert_eq!(occ.busy, oracle.busy, "commit({start}, {len})");
+                    if len > 0 && oracle.busy.len() == before {
+                        glued_one += 1;
+                    } else if oracle.busy.len() < before {
+                        glued_both += 1;
+                    }
+                }
+            }
+        }
+        assert!(glued_one > 0 && glued_both > 0, "coalescing not exercised");
+    }
+
     #[test]
     fn more_clusters_run_faster() {
         let p = Program::listing2_matvec(1 << 13, 8, 4);
