@@ -1,6 +1,6 @@
 //! Compile-time benchmark: per-pass wall-clock over the benchmark
-//! suite, a synthetic stress program ~10× the largest benchmark, the
-//! schedule cache's cold/hit cost, and serial-vs-parallel determinism.
+//! suite, a synthetic stress program ~10× the largest benchmark, and the
+//! schedule cache's cold/hit cost.
 //!
 //! ```text
 //! cargo run -p f1-bench --release --bin bench_compile            # full scale
@@ -25,9 +25,9 @@
 //!   schema drift.
 //!
 //! Timings are wall-clock and machine-dependent; the *gates* are chosen
-//! to hold on any multi-core runner (and the hardest ones —
-//! byte-identical parallel schedules, ≥10× cache-hit speedup — are
-//! machine-independent by construction). The committed
+//! to hold on any runner (the ≥10× cache-hit speedup is a ratio measured
+//! within one run, and a hit must reproduce the cold schedule's
+//! fingerprint exactly). The committed
 //! `BENCH_compile.json` records a full-scale run; the seed baseline it
 //! gates pass 3 against was measured at commit 82ebae9 on the same
 //! machine that produced the committed report.
@@ -38,7 +38,6 @@ use f1_compiler::cache::{self, CacheStatus};
 use f1_compiler::dsl::Program;
 use f1_compiler::expand::{self, ExpandOptions};
 use f1_compiler::ir::{FheProgram, Scheme};
-use f1_compiler::par::with_compile_threads;
 use f1_compiler::{cycle, movement};
 use f1_workloads::all_benchmarks;
 use std::time::Instant;
@@ -175,8 +174,8 @@ fn main() {
         if quick { ", quick" } else { "" }
     );
 
-    // --- Per-benchmark pass timings (single-threaded for stable
-    // numbers), seeding the schedule cache as we go. With --expect-hit
+    // --- Per-benchmark pass timings, seeding the schedule cache as we
+    // go. With --expect-hit
     // every compile must instead be served from the cache.
     let mut rows: Vec<PassTimes> = Vec::new();
     let mut misses = 0usize;
@@ -216,8 +215,7 @@ fn main() {
             );
             continue;
         }
-        let (pt, (ex, plan, cs)) =
-            with_compile_threads(1, || time_passes(b.name, &b.program, &arch));
+        let (pt, (ex, plan, cs)) = time_passes(b.name, &b.program, &arch);
         if let Err(e) = cache::store_dsl(&b.program, &arch, (&ex, &plan, &cs)) {
             eprintln!("[bench_compile] cache seed failed for {}: {e}", b.name);
         }
@@ -233,40 +231,11 @@ fn main() {
         );
         rows.push(pt);
     }
-    let serial_suite_s: f64 = rows.iter().map(|r| r.total_s()).sum();
-
-    // --- Parallel re-run: same suite with the intra-compile parallel
-    // regions enabled. Schedules must be byte-identical (fingerprints);
-    // the wall-clock ratio is the suite speedup.
-    let par_threads = cores.max(2);
-    let mut parallel_suite_s = 0.0f64;
-    let mut fingerprints_equal = true;
-    if !expect_hit {
-        for (b, serial_row) in benches.iter().zip(&rows) {
-            let (pt, _) =
-                with_compile_threads(par_threads, || time_passes(b.name, &b.program, &arch));
-            parallel_suite_s += pt.total_s();
-            if pt.fingerprint != serial_row.fingerprint {
-                fingerprints_equal = false;
-                eprintln!(
-                    "[bench_compile] PARALLEL DIVERGENCE on {}: {:016x} != {:016x}",
-                    b.name, pt.fingerprint, serial_row.fingerprint
-                );
-            }
-        }
-        println!(
-            "\nparallel ({par_threads} threads): suite {:.2}s vs serial {:.2}s ({:.2}x), schedules {}",
-            parallel_suite_s,
-            serial_suite_s,
-            serial_suite_s / parallel_suite_s.max(1e-9),
-            if fingerprints_equal { "byte-identical" } else { "DIVERGED" }
-        );
-    }
 
     // --- Stress program: ~10× the largest benchmark's expanded size at
     // full scale (~2× in quick mode, to keep CI smoke fast), built as a
     // rolled loop region and compiled flat: unroll, optimize, lower, then
-    // the three scheduling passes, all single-threaded.
+    // the three scheduling passes.
     let mut stress: Option<PassTimes> = None;
     if !expect_hit {
         let largest = rows.iter().max_by_key(|r| r.instrs).expect("suite is non-empty");
@@ -274,9 +243,8 @@ fn main() {
         let (n, l) = (1 << 10, 6);
         let sp = stress_program(n, l, largest.instrs * factor, &arch);
         let trips = sp.repeats()[0].trips;
-        let lowered = with_compile_threads(1, || sp.unroll().optimize().0.lower());
-        let (pt, _) =
-            with_compile_threads(1, || time_passes("synthetic-stress", &lowered.program, &arch));
+        let lowered = sp.unroll().optimize().0.lower();
+        let (pt, _) = time_passes("synthetic-stress", &lowered.program, &arch);
         println!(
             "stress ({}x largest, {} trips): {} instrs  expand {:.2}s  movement {:.2}s  cycle {:.2}s",
             factor, trips, pt.instrs, pt.expand_s, pt.movement_s, pt.cycle_s
@@ -316,15 +284,12 @@ fn main() {
     let pass3_pass = !pass3_enforced || pass3_speedup >= 2.0;
     let cache_required = if quick { 2.0 } else { 10.0 };
     let cache_pass = cache_ok && cache_speedup >= cache_required;
-    let par_enforced = !expect_hit && cores >= 4;
-    let par_speedup = serial_suite_s / parallel_suite_s.max(1e-9);
-    let par_pass = !par_enforced || par_speedup >= 1.8;
     let hits_pass = !expect_hit || misses == 0;
 
     // --- JSON report.
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"f1-bench-compile-v3\",\n");
+    out.push_str("  \"schema\": \"f1-bench-compile-v4\",\n");
     out.push_str(&format!("  \"scale\": {scale},\n"));
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!("  \"quick\": {quick},\n"));
@@ -376,14 +341,6 @@ fn main() {
         cache_ok
     ));
     out.push_str(&format!(
-        "  \"parallel\": {{\"threads\": {par_threads}, \"serial_suite_s\": {}, \
-         \"parallel_suite_s\": {}, \"speedup\": {}, \"fingerprints_equal\": {}}},\n",
-        json_num(serial_suite_s),
-        json_num(parallel_suite_s),
-        json_num(par_speedup),
-        fingerprints_equal
-    ));
-    out.push_str(&format!(
         "  \"seed_baseline\": {{\"benchmark\": \"{SEED_BENCH}\", \"pass3_s\": {SEED_PASS3_S}, \
          \"source\": \"{SEED_SOURCE}\"}},\n"
     ));
@@ -399,16 +356,6 @@ fn main() {
         json_num(cache_required),
         json_num(cache_speedup),
         cache_pass
-    ));
-    out.push_str(&format!(
-        "    \"parallel_fingerprints_equal\": {{\"enforced\": {}, \"pass\": {}}},\n",
-        !expect_hit, fingerprints_equal
-    ));
-    out.push_str(&format!(
-        "    \"parallel_suite_speedup\": {{\"required\": 1.8, \"actual\": {}, \"enforced\": {}, \"pass\": {}}},\n",
-        json_num(par_speedup),
-        par_enforced,
-        par_pass
     ));
     out.push_str(&format!(
         "    \"cache_hits\": {{\"enforced\": {}, \"pass\": {}}}\n",
@@ -468,12 +415,6 @@ fn main() {
         }
         if !cache_pass {
             failed.push(format!("cache_hit_speedup ({cache_speedup:.2} < {cache_required})"));
-        }
-        if !fingerprints_equal {
-            failed.push("parallel_fingerprints_equal".to_string());
-        }
-        if !par_pass {
-            failed.push(format!("parallel_suite_speedup ({par_speedup:.2} < 1.8)"));
         }
         if !hits_pass {
             failed.push(format!("cache_hits ({misses} miss(es) under --expect-hit)"));

@@ -205,6 +205,73 @@ pub fn schedule_with_order(
     Scheduler::new(expanded, arch, order_override).run()
 }
 
+/// Resident eviction candidates in eviction order: a max-heap on
+/// `(next use, Reverse(value id))`, i.e. furthest reuse first (dead values
+/// rank `u64::MAX`), lowest id on ties.
+///
+/// Re-keying a value pushes a fresh entry stamped with the value's next
+/// generation, which retires every older entry; entries of values no
+/// longer resident are dead too. Dead entries are dropped when they reach
+/// the top and swept out whenever the heap doubles past its last swept
+/// size. The heap is one flat `Vec`: a node-per-entry ordered set was as
+/// fast but fragmented the allocator at full benchmark scale.
+///
+/// Programs whose working set fits the scratchpad never evict, so the
+/// index stays inactive (and unmaintained) until the first eviction.
+struct EvictionIndex {
+    /// Set by the first eviction, which indexes every resident value.
+    active: bool,
+    heap: BinaryHeap<(u64, std::cmp::Reverse<u32>, u32)>,
+    /// Generation per value; only the entry carrying it is live.
+    generation: Vec<u32>,
+    /// Heap length that triggers the next sweep.
+    sweep_at: usize,
+}
+
+impl EvictionIndex {
+    const MIN_SWEEP: usize = 1 << 10;
+
+    fn new(n_values: usize) -> Self {
+        Self {
+            active: false,
+            heap: BinaryHeap::new(),
+            generation: vec![0; n_values],
+            sweep_at: Self::MIN_SWEEP,
+        }
+    }
+
+    /// Indexes `v` under `next_use`, replacing any earlier key.
+    fn insert(&mut self, v: ValueId, next_use: u64, resident: &[bool]) {
+        let g = &mut self.generation[v.0 as usize];
+        *g = g.wrapping_add(1);
+        self.heap.push((next_use, std::cmp::Reverse(v.0), *g));
+        if self.heap.len() >= self.sweep_at {
+            let generation = &self.generation;
+            self.heap.retain(|&(_, std::cmp::Reverse(v), g)| {
+                resident[v as usize] && generation[v as usize] == g
+            });
+            self.sweep_at = (2 * self.heap.len()).max(Self::MIN_SWEEP);
+        }
+    }
+
+    /// Takes `v` out of the index.
+    fn remove(&mut self, v: ValueId) {
+        let g = &mut self.generation[v.0 as usize];
+        *g = g.wrapping_add(1);
+    }
+
+    /// The next candidate as `(next use, value)`, dropping dead entries.
+    fn peek(&mut self, resident: &[bool]) -> Option<(u64, ValueId)> {
+        while let Some(&(next_use, std::cmp::Reverse(v), g)) = self.heap.peek() {
+            if resident[v as usize] && self.generation[v as usize] == g {
+                return Some((next_use, ValueId(v)));
+            }
+            self.heap.pop();
+        }
+        None
+    }
+}
+
 struct Scheduler<'a> {
     dfg: &'a Dfg,
     arch: &'a ArchConfig,
@@ -220,23 +287,17 @@ struct Scheduler<'a> {
     residency: Vec<Option<Residency>>,
     dirty: Vec<bool>,
     resident: Vec<bool>,
-    /// Resident values in insertion order (lazily compacted); gives the
-    /// eviction scan a deterministic candidate order, where the old
-    /// hash-set iteration made tie-breaks — and thus whole schedules —
-    /// vary run to run.
-    resident_list: Vec<ValueId>,
-    /// Whether a value currently appears in `resident_list` (entries
-    /// linger after eviction until the next compaction; this flag stops
-    /// evict-then-reload cycles from pushing duplicates).
-    in_list: Vec<bool>,
+    /// Resident values keyed by next use, kept current as keys change
+    /// (on residency and whenever a user issues), so an eviction pops
+    /// its victims instead of re-ranking the whole resident set.
+    evictable: EvictionIndex,
     output_set: Vec<bool>,
     stored_outputs: Vec<bool>,
     /// Per-value user lists sorted by `(rank, instruction id)`. With the
     /// cursor below, [`Self::next_use_rank`] is amortized O(1): the first
     /// unissued entry at/after the cursor *is* the minimum-rank unissued
-    /// user. (The DFG's creation-order lists made it a scan of every
-    /// remaining user — O(users²) per value over a run, which dominated
-    /// the pass on high-fanout key-switch hints at full scale.)
+    /// user. The eviction index re-reads it for a value only when the
+    /// value becomes resident or one of its users issues.
     sorted_users: Vec<Vec<u32>>,
     /// Per-value cursor into its `sorted_users` list.
     user_cursor: Vec<u32>,
@@ -284,16 +345,17 @@ impl<'a> Scheduler<'a> {
         for &v in dfg.outputs() {
             output_set[v.0 as usize] = true;
         }
-        // Per-value lineage/liveness tables: each value's users sorted by
-        // final rank. Values are independent, so the build fans out across
-        // F1_PAR_COMPILE threads; output order is by value id either way.
-        let value_ids: Vec<u32> = (0..n_values as u32).collect();
-        let sorted_users: Vec<Vec<u32>> =
-            rayon::par_map_threads(crate::par::compile_threads(), &value_ids, |&vi| {
-                let mut us: Vec<u32> = dfg.users(ValueId(vi)).iter().map(|u| u.0).collect();
+        // Per-value liveness tables: each value's users sorted by final
+        // rank.
+        let sorted_users: Vec<Vec<u32>> = dfg
+            .values()
+            .iter()
+            .map(|v| {
+                let mut us: Vec<u32> = dfg.users(v.id).iter().map(|u| u.0).collect();
                 us.sort_unstable_by_key(|&u| (rank[u as usize], u));
                 us
-            });
+            })
+            .collect();
         Self {
             dfg,
             arch,
@@ -302,8 +364,7 @@ impl<'a> Scheduler<'a> {
             residency: vec![None; n_values],
             dirty: vec![false; n_values],
             resident: vec![false; n_values],
-            resident_list: Vec::new(),
-            in_list: vec![false; n_values],
+            evictable: EvictionIndex::new(n_values),
             output_set,
             stored_outputs: vec![false; n_values],
             sorted_users,
@@ -506,14 +567,11 @@ impl<'a> Scheduler<'a> {
     fn mark_resident(&mut self, v: ValueId, dirty: bool) {
         let vi = v.0 as usize;
         self.resident[vi] = true;
-        if !self.in_list[vi] {
-            self.in_list[vi] = true;
-            self.resident_list.push(v);
-        }
         self.residency[vi] = Some(Residency::Resident);
         if dirty {
             self.dirty[vi] = true;
         }
+        self.reindex(v);
         for &u in self.dfg.users(v) {
             let ui = u.0 as usize;
             if self.issued[ui] {
@@ -588,14 +646,30 @@ impl<'a> Scheduler<'a> {
         self.issued[i.0 as usize] = true;
         self.out.order.push(i);
         self.mark_resident(output, true);
-        // Free operands that just died.
+        // Free operands that just died; re-key the survivors, whose next
+        // use moved past this instruction.
         let n_inputs = self.dfg.instr(i).inputs.len();
         for k in 0..n_inputs {
             let v = self.dfg.instr(i).inputs[k];
-            self.advance_cursor(v);
             if self.next_use_rank(v) == u64::MAX && !self.output_set[v.0 as usize] {
                 self.evict(v, false);
+            } else {
+                self.reindex(v);
             }
+        }
+    }
+
+    /// Re-keys resident `v` in the eviction index after its next use may
+    /// have changed. Live outputs are kept out: they are pinned until dead.
+    fn reindex(&mut self, v: ValueId) {
+        if !self.evictable.active {
+            return;
+        }
+        let next = self.next_use_rank(v);
+        if self.output_set[v.0 as usize] && next != u64::MAX {
+            self.evictable.remove(v);
+        } else {
+            self.evictable.insert(v, next, &self.resident);
         }
     }
 
@@ -614,14 +688,6 @@ impl<'a> Scheduler<'a> {
         }
     }
 
-    fn advance_cursor(&mut self, v: ValueId) {
-        let users = &self.sorted_users[v.0 as usize];
-        let cur = &mut self.user_cursor[v.0 as usize];
-        while (*cur as usize) < users.len() && self.issued[users[*cur as usize] as usize] {
-            *cur += 1;
-        }
-    }
-
     fn make_space(&mut self, bytes: u64, allow_live: bool) -> bool {
         self.make_space_pinned(bytes, allow_live, InstrId(u32::MAX))
     }
@@ -635,43 +701,35 @@ impl<'a> Scheduler<'a> {
         if self.free_bytes >= bytes {
             return true;
         }
-        // Collect (next_use, value) for every resident candidate, in
-        // deterministic insertion order (compacting the lazy list). Live
-        // outputs (still-consumed values marked as outputs) are pinned
-        // like any live value until dead.
-        let mut list = std::mem::take(&mut self.resident_list);
-        list.retain(|&v| {
-            let keep = self.resident[v.0 as usize];
-            if !keep {
-                self.in_list[v.0 as usize] = false;
+        if !self.evictable.active {
+            self.evictable.active = true;
+            for vi in 0..self.resident.len() {
+                if self.resident[vi] {
+                    self.reindex(ValueId(vi as u32));
+                }
             }
-            keep
-        });
-        let mut candidates: Vec<(u64, ValueId)> = Vec::new();
-        for k in 0..list.len() {
-            let v = list[k];
-            let vi = v.0 as usize;
-            if pinned.0 != u32::MAX && self.dfg.instr(pinned).inputs.contains(&v) {
-                continue;
-            }
-            let next = self.next_use_rank(v);
-            if self.output_set[vi] && next != u64::MAX {
-                continue;
-            }
-            candidates.push((next, v));
         }
-        self.resident_list = list;
-        // Furthest reuse first (dead values have rank MAX); ties broken
-        // by value id so the whole pass stays deterministic.
-        candidates.sort_unstable_by_key(|&(next, v)| (std::cmp::Reverse(next), v.0));
-        for (next_use, v) in candidates {
+        // Candidates pop furthest reuse first (dead values have rank MAX),
+        // ties broken by value id so the whole pass stays deterministic.
+        // The pinned operands are set aside and re-indexed afterwards.
+        let mut set_aside: [Option<(u64, ValueId)>; 2] = [None; 2];
+        while let Some((next_use, v)) = self.evictable.peek(&self.resident) {
             if self.free_bytes >= bytes {
-                return true;
+                break;
+            }
+            if pinned.0 != u32::MAX && self.dfg.instr(pinned).inputs.contains(&v) {
+                self.evictable.remove(v);
+                let slot = set_aside.iter_mut().find(|s| s.is_none()).expect("two operands");
+                *slot = Some((next_use, v));
+                continue;
             }
             if next_use != u64::MAX && !allow_live {
-                return self.free_bytes >= bytes;
+                break;
             }
             self.evict(v, next_use != u64::MAX);
+        }
+        for (next_use, v) in set_aside.into_iter().flatten() {
+            self.evictable.insert(v, next_use, &self.resident);
         }
         self.free_bytes >= bytes
     }
@@ -729,6 +787,24 @@ mod tests {
         let ex = expand(p, &ExpandOptions::default());
         let plan = schedule(&ex, arch);
         (ex, plan)
+    }
+
+    #[test]
+    fn eviction_index_pops_furthest_reuse_then_lowest_id() {
+        let mut resident = vec![true; 6];
+        let mut idx = EvictionIndex::new(6);
+        for (v, next) in [(0, 5), (1, u64::MAX), (2, 9), (3, 9), (4, 1), (5, u64::MAX)] {
+            idx.insert(ValueId(v), next, &resident);
+        }
+        idx.insert(ValueId(2), 3, &resident); // re-key retires (9, 2)
+        idx.remove(ValueId(5));
+        resident[1] = false; // evicted without telling the index
+        let mut order = Vec::new();
+        while let Some((next, v)) = idx.peek(&resident) {
+            order.push((next, v.0));
+            idx.remove(v);
+        }
+        assert_eq!(order, [(9, 3), (5, 0), (3, 2), (1, 4)]);
     }
 
     #[test]

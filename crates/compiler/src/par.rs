@@ -1,37 +1,23 @@
 //! Compile-time parallelism policy.
 //!
-//! Every parallel region in the scheduling passes asks [`compile_threads`]
-//! how wide to go, so one knob — the `F1_PAR_COMPILE` environment variable,
-//! mirroring `F1_PAR_LIMBS` in `f1-poly` — caps or disables (`=1`) all of
-//! them at once. Parallel regions are required to be *result-preserving*:
-//! any thread count must produce byte-identical pass outputs (deterministic
-//! reduction order), so this knob only trades wall-clock for cores.
-//!
-//! Tests that compare serial and parallel compiles in-process use
-//! [`with_compile_threads`] rather than mutating the environment, which
-//! would race with other tests in the same binary.
+//! The scheduling passes themselves are serial. Parallelism lives one
+//! level up, in the bins that compile or analyze several benchmarks at
+//! once (`table3_benchmarks`, `analyze`): each benchmark is independent,
+//! so those loops fan out across [`compile_threads`] threads, and their
+//! outputs are assembled in benchmark order. One knob — the
+//! `F1_PAR_COMPILE` environment variable, mirroring `F1_PAR_LIMBS` in
+//! `f1-poly` — caps their width; `F1_PAR_COMPILE=1` runs them serially.
 
-use std::cell::Cell;
-
-thread_local! {
-    /// In-process override; takes precedence over the environment.
-    static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-}
-
-/// The number of threads compiler passes may use for parallel regions.
+/// The number of threads the per-benchmark loops may use.
 ///
-/// Resolution order: [`with_compile_threads`] override on this thread,
-/// then the `F1_PAR_COMPILE` environment variable, then the host's
-/// available parallelism. Always at least 1.
+/// Resolution order: the `F1_PAR_COMPILE` environment variable, then the
+/// host's available parallelism. Always at least 1.
 ///
 /// # Panics
 ///
 /// Panics if `F1_PAR_COMPILE` is set but not a positive integer, so typos
-/// fail loudly instead of silently serializing the build.
+/// (or `0`) fail loudly instead of silently changing the build.
 pub fn compile_threads() -> usize {
-    if let Some(n) = OVERRIDE.with(Cell::get) {
-        return n.max(1);
-    }
     match std::env::var("F1_PAR_COMPILE") {
         Ok(s) => s
             .trim()
@@ -40,42 +26,5 @@ pub fn compile_threads() -> usize {
             .filter(|&n| n >= 1)
             .unwrap_or_else(|| panic!("F1_PAR_COMPILE must be a positive integer, got {s:?}")),
         Err(_) => rayon::current_num_threads().max(1),
-    }
-}
-
-/// Runs `f` with [`compile_threads`] pinned to `threads` on the current
-/// thread (restored afterwards, even on panic). The override does not
-/// propagate into threads spawned inside `f` — fine for the passes, whose
-/// parallel regions decide their width on the calling thread.
-pub fn with_compile_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<usize>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            OVERRIDE.with(|c| c.set(self.0));
-        }
-    }
-    let _restore = Restore(OVERRIDE.with(|c| c.replace(Some(threads.max(1)))));
-    f()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn override_wins_and_restores() {
-        let outer = compile_threads();
-        assert!(outer >= 1);
-        with_compile_threads(3, || {
-            assert_eq!(compile_threads(), 3);
-            with_compile_threads(1, || assert_eq!(compile_threads(), 1));
-            assert_eq!(compile_threads(), 3);
-        });
-        assert_eq!(compile_threads(), outer);
-    }
-
-    #[test]
-    fn zero_override_clamps_to_one() {
-        with_compile_threads(0, || assert_eq!(compile_threads(), 1));
     }
 }

@@ -1,11 +1,12 @@
 //! Offline stand-in for [`rayon`](https://crates.io/crates/rayon).
 //!
 //! The build environment has no registry access, so this shim provides the
-//! tiny fork/join subset the workspace uses — [`scope`], [`join`] and
-//! [`current_num_threads`] — backed by `std::thread::scope`. There is no
-//! work-stealing pool: every spawned task is an OS thread, so callers are
-//! expected to spawn a few coarse tasks (e.g. one per limb group), not one
-//! per element. Swapping the real crate back in is a manifest-only change.
+//! tiny fork/join subset the workspace uses — [`scope`],
+//! [`par_map_threads`] and [`current_num_threads`] — backed by
+//! `std::thread::scope`. There is no work-stealing pool: every spawned
+//! task is an OS thread, so callers are expected to spawn a few coarse
+//! tasks (e.g. one per limb group), not one per element. Swapping the real
+//! crate back in is a manifest-only change.
 //!
 //! API difference kept deliberately small: `scope` hands the closure
 //! `&std::thread::Scope` directly (whose `spawn` takes a plain `FnOnce()`),
@@ -23,25 +24,6 @@ pub use std::thread::scope;
 /// The scope handle passed to the [`scope`] closure.
 pub use std::thread::Scope;
 
-/// Runs both closures, potentially in parallel, and returns both results.
-///
-/// Mirrors `rayon::join`: `b` runs on a freshly spawned scoped thread while
-/// `a` runs on the caller's thread.
-pub fn join<A, B, RA, RB>(oper_a: A, oper_b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    std::thread::scope(|s| {
-        let hb = s.spawn(oper_b);
-        let ra = oper_a();
-        let rb = hb.join().expect("rayon shim: joined task panicked");
-        (ra, rb)
-    })
-}
-
 /// The number of threads the shim will use for parallel work: the host's
 /// available parallelism (1 if it cannot be determined).
 pub fn current_num_threads() -> usize {
@@ -57,7 +39,7 @@ pub fn current_num_threads() -> usize {
 /// contiguous chunks, one OS thread each — appropriate for coarse tasks
 /// (a compute cluster, a benchmark), not per-element work. `threads <= 1`
 /// (or a 0/1-element slice) runs entirely on the caller's thread with no
-/// spawns, which is the `F1_PAR_COMPILE=1` escape hatch.
+/// spawns.
 ///
 /// # Panics
 ///
@@ -87,26 +69,9 @@ where
     out.into_iter().map(|r| r.expect("rayon shim: par_map slot unfilled")).collect()
 }
 
-/// [`par_map_threads`] across [`current_num_threads`] threads.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_threads(current_num_threads(), items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
 
     #[test]
     fn scope_spawns_and_joins() {
@@ -131,7 +96,6 @@ mod tests {
         for threads in [1, 2, 3, 8, 64] {
             assert_eq!(par_map_threads(threads, &items, |x| x * x), expect, "{threads} threads");
         }
-        assert_eq!(par_map(&items, |x| x * x), expect);
         assert_eq!(par_map_threads(4, &[] as &[u64], |x| *x), Vec::<u64>::new());
     }
 
