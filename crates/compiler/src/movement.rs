@@ -296,8 +296,11 @@ struct Scheduler<'a> {
     /// Per-value user lists sorted by `(rank, instruction id)`. With the
     /// cursor below, [`Self::next_use_rank`] is amortized O(1): the first
     /// unissued entry at/after the cursor *is* the minimum-rank unissued
-    /// user. The eviction index re-reads it for a value only when the
-    /// value becomes resident or one of its users issues.
+    /// user. (The DFG's creation-order lists made it a scan of every
+    /// remaining user — O(users²) per value over a run, which dominated
+    /// the pass on high-fanout key-switch hints at full scale.) The
+    /// eviction index re-reads it for a value only when the value becomes
+    /// resident or one of its users issues.
     sorted_users: Vec<Vec<u32>>,
     /// Per-value cursor into its `sorted_users` list.
     user_cursor: Vec<u32>,
