@@ -663,15 +663,14 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Re-keys resident `v` in the eviction index after its next use may
-    /// have changed. Live outputs are kept out: they are pinned until dead.
+    /// have changed. Live outputs are kept out: they are pinned until
+    /// dead, and a dead value never comes back to life.
     fn reindex(&mut self, v: ValueId) {
         if !self.evictable.active {
             return;
         }
         let next = self.next_use_rank(v);
-        if self.output_set[v.0 as usize] && next != u64::MAX {
-            self.evictable.remove(v);
-        } else {
+        if next == u64::MAX || !self.output_set[v.0 as usize] {
             self.evictable.insert(v, next, &self.resident);
         }
     }
@@ -808,6 +807,50 @@ mod tests {
             idx.remove(v);
         }
         assert_eq!(order, [(9, 3), (5, 0), (3, 2), (1, 4)]);
+    }
+
+    #[test]
+    fn live_outputs_are_never_evicted() {
+        // An output read again at the very end has the furthest next use
+        // of anything resident, yet it stays pinned through the pressure
+        // in between; only once dead may capacity squeeze it out.
+        let mut p = Program::new(1 << 12);
+        let (x, y) = (p.input(4), p.input(4));
+        let o = p.mul(x, y);
+        p.output(o);
+        let mut acc = p.input(4);
+        for _ in 0..8 {
+            let z = p.input(4);
+            acc = p.add(acc, z);
+        }
+        let last = p.add(o, acc);
+        p.output(last);
+        let mut arch = ArchConfig::f1_default();
+        arch.scratchpad_banks = 1;
+        arch.bank_bytes = 512 * 1024;
+        // Program order, so `o` is produced first and read last.
+        let ex = expand(&p, &ExpandOptions { keep_program_order: true, ..Default::default() });
+        let order: Vec<InstrId> = ex.dfg.instrs().iter().map(|i| i.id).collect();
+        let plan = schedule_with_order(&ex, &arch, Some(&order));
+        assert!(plan.events.iter().any(|e| e.frees_space()), "this pad must evict");
+        let mut unissued: HashMap<ValueId, usize> =
+            ex.dfg.outputs().iter().map(|&v| (v, ex.dfg.users(v).len())).collect();
+        for ev in &plan.events {
+            match ev {
+                MoveEvent::Issue { instr, .. } => {
+                    for v in &ex.dfg.instr(*instr).inputs {
+                        if let Some(n) = unissued.get_mut(v) {
+                            *n -= 1;
+                        }
+                    }
+                }
+                ev if ev.frees_space() => {
+                    let v = ev.value().expect("releases name a value");
+                    assert!(unissued.get(&v).is_none_or(|&n| n == 0), "live output {v:?} evicted");
+                }
+                _ => {}
+            }
+        }
     }
 
     #[test]
