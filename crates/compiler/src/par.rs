@@ -6,7 +6,7 @@
 //! so those loops fan out across [`compile_threads`] threads, and their
 //! outputs are assembled in benchmark order. One knob — the
 //! `F1_PAR_COMPILE` environment variable, mirroring `F1_PAR_LIMBS` in
-//! `f1-poly` — caps their width; `F1_PAR_COMPILE=1` runs them serially.
+//! `f1-poly` — sets their width; `F1_PAR_COMPILE=1` runs them serially.
 
 /// The number of threads the per-benchmark loops may use.
 ///
