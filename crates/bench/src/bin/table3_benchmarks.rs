@@ -7,8 +7,8 @@
 //! Structure: per-op CPU costs are measured first, serially, on an
 //! otherwise-quiet machine (they are wall-clock timings and memoized
 //! across benchmarks), then the seven compile-and-simulate runs execute
-//! concurrently — schedules and cycle counts are deterministic, so
-//! parallelism changes wall time only.
+//! on up to `F1_PAR_COMPILE` threads — schedules and cycle counts are
+//! deterministic, so parallelism changes wall time only.
 
 use f1_arch::ArchConfig;
 use f1_bench::{bench_scale, gmean, run_benchmark};
@@ -25,40 +25,23 @@ fn main() {
     let baselines: Vec<CpuBaseline> =
         benches.iter().map(|b| CpuBaseline::measure(&b.program, 2048)).collect();
     eprintln!("[timing] baseline measurement: {:.2}s", t0.elapsed().as_secs_f64());
-    // Phase 2: compile + simulate, in parallel when the host has spare
-    // cores (schedules and cycle counts are deterministic either way).
+    // Phase 2: compile + simulate on up to `F1_PAR_COMPILE` threads
+    // (`1` runs serially); schedules and cycle counts are deterministic
+    // either way, and `par_map_threads` keeps benchmark order.
     let t1 = std::time::Instant::now();
-    let mut reports: Vec<Option<SimReport>> = (0..benches.len()).map(|_| None).collect();
     let arch_ref = &arch;
-    let serial = f1_compiler::par::compile_threads() <= 1
-        || std::env::var("F1_TABLE3_SERIAL").map(|v| v != "0").unwrap_or(false);
-    if serial {
-        for (b, slot) in benches.iter().zip(reports.iter_mut()) {
+    let reports: Vec<SimReport> =
+        rayon::par_map_threads(f1_compiler::par::compile_threads(), &benches, |b| {
             let t = std::time::Instant::now();
-            *slot = Some(run_benchmark(b, arch_ref));
+            let report = run_benchmark(b, arch_ref);
             eprintln!("[timing] {:<30} schedule {:>6.2}s", b.name, t.elapsed().as_secs_f64());
-        }
-    } else {
-        rayon::scope(|s| {
-            for (b, slot) in benches.iter().zip(reports.iter_mut()) {
-                s.spawn(move || {
-                    let t = std::time::Instant::now();
-                    *slot = Some(run_benchmark(b, arch_ref));
-                    eprintln!(
-                        "[timing] {:<30} schedule {:>6.2}s",
-                        b.name,
-                        t.elapsed().as_secs_f64()
-                    );
-                });
-            }
+            report
         });
-    }
     eprintln!("[timing] schedule+simulate: {:.2}s", t1.elapsed().as_secs_f64());
 
     println!("{:<30} {:>12} {:>12} {:>10}", "Benchmark", "CPU [ms]", "F1 [ms]", "Speedup");
     let mut speedups = Vec::new();
     for ((b, baseline), report) in benches.iter().zip(&baselines).zip(&reports) {
-        let report = report.as_ref().expect("benchmark scheduled");
         let cpu_s = baseline.estimate_seconds_parallel(&b.program, b.n);
         let f1_ms = report.seconds * 1e3;
         let cpu_ms = cpu_s * 1e3;

@@ -44,7 +44,9 @@ use std::path::{Path, PathBuf};
 /// stale entries from older builds miss instead of mis-decoding.
 /// v2: `FheProgram` gained rolled-loop regions (`repeats`), changing
 /// both the typed-IR key bytes and the `Lowered` payload layout.
-pub const FORMAT_VERSION: u32 = 2;
+/// v3: `ValueInfo` dropped its diagnostic `label`, changing the
+/// `Expanded` payload layout.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"F1SC";

@@ -11,12 +11,6 @@
 
 use f1_isa::dfg::{Dfg, InstrId};
 
-/// Memoization key for the unit-weight critical depths the CSR tie-break
-/// uses (distinct from pass 3's streaming-weight key space: that key is
-/// an FNV hash of real weights, while unit weights are keyed by this
-/// reserved constant).
-const UNIT_DEPTH_KEY: u64 = u64::MAX;
-
 /// Upper bound on instructions CSR will attempt: the quadratic-ish live
 /// set maintenance makes larger graphs impractical, mirroring the paper's
 /// "intractable" entries.
@@ -41,7 +35,7 @@ pub fn csr_order(dfg: &Dfg) -> Option<Vec<InstrId>> {
     // schedulers of the CSR era. Deliberately NOT pass 1's priority —
     // that would leak F1's hint-reuse grouping into the baseline the
     // ablation is meant to compare against.
-    let depth = dfg.critical_depths_cached(UNIT_DEPTH_KEY, &|_| 1);
+    let depth = dfg.critical_depths(&|_| 1);
     let mut indegree: Vec<usize> = dfg
         .instrs()
         .iter()
@@ -134,7 +128,7 @@ mod tests {
     fn csr_declares_large_graphs_intractable() {
         // Fabricate a size check without building a huge graph.
         let mut g = f1_isa::dfg::Dfg::new(1024);
-        let v = g.add_value(f1_isa::dfg::ValueKind::Input, None);
+        let v = g.add_value(f1_isa::dfg::ValueKind::Input);
         let _ = g.add_instr(f1_isa::dfg::VectorOp::Ntt, vec![v], 0);
         assert!(g.instrs().len() <= CSR_TRACTABLE_LIMIT, "tiny graphs are tractable");
         assert!(csr_order(&g).is_some());

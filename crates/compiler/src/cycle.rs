@@ -197,26 +197,6 @@ enum MemNode {
     Drop { ev: u32 },
 }
 
-/// Fingerprint of the [`stream_weight`] function the cycle scheduler and
-/// expand's makespan estimator rank instructions by — the memoization key
-/// for [`Dfg::critical_depths_cached`]. Two `(arch, n)` pairs that weight
-/// every FU class identically share a key (and may share the cached
-/// depths, which is exactly the point).
-pub fn depth_key(arch: &ArchConfig, n: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(n as u64);
-    for &fu in FuType::ALL.iter() {
-        mix(stream_weight(arch, fu, n));
-    }
-    h
-}
-
 /// Schedules the plan onto the machine.
 pub fn schedule(expanded: &Expanded, plan: &MovePlan, arch: &ArchConfig) -> CycleSchedule {
     CycleScheduler::new(expanded, plan, arch).run()
@@ -242,7 +222,7 @@ struct CycleScheduler<'a> {
     indeg: Vec<u32>,
     /// Earliest start each node inherits from its gating predecessors.
     gate_time: Vec<u64>,
-    depth: std::sync::Arc<Vec<u64>>,
+    depth: Vec<u64>,
     /// Per-FU-class `occupancy` / [`stream_weight`] / `latency` at ring
     /// size `n`, indexed by [`FuType::index`] (identical for every
     /// instruction of a class — no need to re-derive per commit).
@@ -398,12 +378,8 @@ impl<'a> CycleScheduler<'a> {
         drop(edges);
 
         // Rank = streaming critical-path depth (matches the availability
-        // semantics the schedule is checked under). Memoized on the DFG:
-        // expand's makespan estimator uses the same weighting, and pass-3
-        // reruns over one expansion (the Table 5 ablations) hit it too.
-        let depth = dfg.critical_depths_cached(depth_key(arch, n), &|i| {
-            stream_weight(arch, i.op.fu_type(), n)
-        });
+        // semantics the schedule is checked under).
+        let depth = dfg.critical_depths(&|i| stream_weight(arch, i.op.fu_type(), n));
 
         let mut fu_occ = [0u64; 4];
         let mut fu_weight = [0u64; 4];

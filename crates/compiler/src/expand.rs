@@ -13,9 +13,11 @@
 //!   residue-vector instructions; one `Mul` at `L = 16` becomes ~1,600
 //!   instructions, dominated by the key-switch.
 
+use crate::cycle::stream_weight;
 use crate::dsl::{CtId, HomOp, Program};
 use f1_arch::ArchConfig;
 use f1_isa::dfg::{Dfg, ValueId, ValueKind, VectorOp};
+use f1_isa::FuType;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -29,45 +31,29 @@ pub enum HintId {
 }
 
 /// Key-switch implementation selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KeySwitchChoice {
     /// Force Listing 1's decomposition variant.
     Decomposition,
     /// Force the GHS-style variant.
     Ghs,
     /// Let the compiler decide from `L`, reuse and footprint (§4.2).
+    #[default]
     Auto,
 }
 
 /// Options for the expansion pass.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ExpandOptions {
     /// Key-switch implementation policy.
     pub keyswitch: KeySwitchChoice,
-    /// Special (raised-modulus) limbs the GHS variant uses; `0` sizes it
-    /// to the operating level automatically.
-    pub ghs_specials: usize,
-    /// Scratchpad capacity assumed by the auto chooser.
-    pub scratchpad_bytes: u64,
     /// Disable the hint-reuse reordering (for ablations; the paper's
     /// Listing 2 discussion shows why leaving program order hurts).
     pub keep_program_order: bool,
-    /// The machine the `Auto` chooser estimates against; `None` uses the
-    /// paper's default configuration. [`crate::compile`] fills this with
-    /// the target architecture.
+    /// The machine the `Auto` chooser estimates against, scratchpad
+    /// capacity included; `None` uses the paper's default configuration.
+    /// [`crate::compile`] fills this with the target architecture.
     pub machine: Option<ArchConfig>,
-}
-
-impl Default for ExpandOptions {
-    fn default() -> Self {
-        Self {
-            keyswitch: KeySwitchChoice::Auto,
-            ghs_specials: 0,
-            scratchpad_bytes: 64 * 1024 * 1024,
-            keep_program_order: false,
-            machine: None,
-        }
-    }
 }
 
 /// The pass-1 output: an instruction DFG plus hint/ciphertext metadata.
@@ -98,42 +84,46 @@ struct LoweredCt {
 /// Expands a program into an instruction DFG.
 ///
 /// Under [`KeySwitchChoice::Auto`] the pass implements §4.2's algorithmic
-/// choice with a machine model: it lowers the program with *both*
-/// key-switch variants (expansion is linear and cheap next to the
-/// scheduling passes) and keeps the one whose estimated makespan — the
-/// max of its bandwidth, FU-throughput and dependence bounds on the
-/// target machine — is lower. Decomposition has the least compute but
-/// `O(L²)` hints; GHS pays more arithmetic for `O(L)` hints, winning
-/// whenever hint traffic would leave the machine bandwidth-bound.
+/// choice with a machine model. It lowers the program once per
+/// key-switch variant into a tally that keeps only instruction counts,
+/// value reuse and streaming depth, then builds the DFG of the variant
+/// whose estimated makespan — the max of its bandwidth, FU-throughput
+/// and dependence bounds on the target machine — is lower.
+/// Decomposition has the least compute but `O(L²)` hints; GHS pays more
+/// arithmetic for `O(L)` hints, winning whenever hint traffic would
+/// leave the machine bandwidth-bound.
 pub fn expand(program: &Program, opts: &ExpandOptions) -> Expanded {
     let order = if opts.keep_program_order {
         (0..program.ops().len()).collect()
     } else {
         hint_reuse_order(program)
     };
-    match opts.keyswitch {
-        KeySwitchChoice::Decomposition => expand_with(program, opts, &order, false),
-        KeySwitchChoice::Ghs => expand_with(program, opts, &order, true),
+    let used_ghs = match opts.keyswitch {
+        KeySwitchChoice::Decomposition => false,
+        KeySwitchChoice::Ghs => true,
+        // No key-switching ops: both variants lower identically.
+        KeySwitchChoice::Auto if program.ops().iter().all(|op| hint_of(op).is_none()) => false,
+        // The paper's stated rule: very large L always favors GHS.
+        KeySwitchChoice::Auto if max_hint_level(program) >= 20 => true,
         KeySwitchChoice::Auto => {
-            // No key-switching ops: both variants lower identically, so
-            // skip the comparison entirely.
-            if program.ops().iter().all(|op| hint_of(op).is_none()) {
-                return expand_with(program, opts, &order, false);
-            }
-            // Fast path (and the paper's stated rule): very large L always
-            // favors GHS — skip the double expansion.
-            if max_hint_level(program) >= 20 {
-                return expand_with(program, opts, &order, true);
-            }
             let machine = opts.machine.clone().unwrap_or_default();
-            let decomp = expand_with(program, opts, &order, false);
-            let ghs = expand_with(program, opts, &order, true);
-            if estimate_makespan(&ghs, &machine) < estimate_makespan(&decomp, &machine) {
-                ghs
-            } else {
-                decomp
-            }
+            let bound = |ghs| {
+                lower(program, &order, ghs, Tally::new(program.n, &machine))
+                    .sink
+                    .makespan_bound(&machine)
+            };
+            bound(true) < bound(false)
         }
+    };
+    let ex = lower(program, &order, used_ghs, Dfg::new(program.n));
+    ex.sink.validate();
+    Expanded {
+        dfg: ex.sink,
+        hint_values: ex.hints,
+        used_ghs,
+        n: program.n,
+        output_values: ex.output_values,
+        hom_order: order,
     }
 }
 
@@ -148,106 +138,192 @@ fn max_hint_level(program: &Program) -> usize {
     max_level
 }
 
-/// Estimated makespan of an expansion on `arch`: the max of its three
-/// lower bounds — per-class FU throughput, off-chip traffic over
-/// aggregate bandwidth, and the streaming critical path. The traffic
-/// bound includes a **capacity term**: when the loadable working set
-/// (hints + inputs) exceeds the scratchpad, the overflow fraction of
-/// every re-read beyond a value's first turns into a refetch, so a
-/// variant with smaller hints (GHS) wins on capacity-starved machines
-/// even where decomposition wins at 64 MB. The cycle-level scheduler
-/// approaches whichever bound binds.
-fn estimate_makespan(ex: &Expanded, arch: &ArchConfig) -> u64 {
-    let dfg = &ex.dfg;
-    let n = dfg.n;
-    // FU-throughput bound per class (all instructions of a class share
-    // one occupancy at ring size n, so count then multiply).
-    let mut count = [0u64; 4];
-    for i in dfg.instrs() {
-        count[i.op.fu_type().index()] += 1;
-    }
-    let fu_bound = f1_isa::FuType::ALL
-        .iter()
-        .map(|&fu| {
-            count[fu.index()] * arch.occupancy(fu, n)
-                / (arch.fus_per_cluster(fu) * arch.clusters).max(1) as u64
-        })
-        .max()
-        .unwrap_or(0);
-    // Bandwidth bound: compulsory traffic (used inputs and hints loaded
-    // once, outputs stored once) — the hint-reuse order keeps refetches
-    // negligible for working sets that fit the scratchpad.
-    let loadable: Vec<&f1_isa::dfg::ValueInfo> = dfg
-        .values()
-        .iter()
-        .filter(|v| matches!(v.kind, ValueKind::Input | ValueKind::KeySwitchHint))
-        .filter(|v| !dfg.users(v.id).is_empty())
-        .collect();
-    let working_set: u64 = loadable.iter().map(|v| v.bytes).sum();
-    let mut traffic = working_set;
-    traffic += dfg.outputs().iter().map(|&v| dfg.value(v).bytes).sum::<u64>();
-    // Capacity term: the overflow fraction of the working set cannot stay
-    // resident, so that share of every repeat read is a refetch.
-    let cap = arch.scratchpad_bytes();
-    if working_set > cap {
-        let reread: u64 =
-            loadable.iter().map(|v| (dfg.users(v.id).len() as u64 - 1) * v.bytes).sum();
-        let overflow = (working_set - cap) as f64 / working_set as f64;
-        traffic += (reread as f64 * overflow) as u64;
-    }
-    let mem_bound = arch.mem_cycles(traffic);
-    // Dependence bound: the streaming critical path. Memoized on the DFG
-    // under the same key pass 3 uses, so when this expansion wins the
-    // auto comparison, the cycle scheduler reuses the depths wholesale.
-    let cp = dfg
-        .critical_depths_cached(crate::cycle::depth_key(arch, n), &|i| {
-            crate::cycle::stream_weight(arch, i.op.fu_type(), n)
-        })
-        .iter()
-        .max()
-        .copied()
-        .unwrap_or(0);
-    fu_bound.max(mem_bound).max(cp)
-}
-
-/// Lowers the program with a fixed key-switch variant.
-fn expand_with(
-    program: &Program,
-    opts: &ExpandOptions,
+/// Lowers the ops in `order` with one key-switch variant into `sink`,
+/// then marks the program outputs.
+fn lower<'p, S: Sink>(
+    program: &'p Program,
     order: &[usize],
     used_ghs: bool,
-) -> Expanded {
+    sink: S,
+) -> Expander<'p, S> {
     let mut ex = Expander {
         program,
-        dfg: Dfg::new(program.n),
+        sink,
         hints: BTreeMap::new(),
         cts: vec![None; program.ops().len()],
         plains: vec![None; program.ops().len()],
         priority: 0,
         used_ghs,
-        ghs_specials: opts.ghs_specials,
+        output_values: Vec::new(),
     };
     for &op_idx in order {
         ex.lower_op(op_idx);
     }
-    let mut output_values = Vec::new();
     for &out in program.outputs() {
-        let ct = ex.cts[out.0 as usize].as_ref().expect("output must be a ciphertext").clone();
-        let mut vals = ct.a.clone();
-        vals.extend_from_slice(&ct.b);
+        let ct = ex.ct(out);
+        let vals: Vec<ValueId> = ct.a.iter().chain(&ct.b).copied().collect();
         for &v in &vals {
-            ex.dfg.mark_output(v);
+            ex.sink.output(v);
         }
-        output_values.push(vals);
+        ex.output_values.push(vals);
     }
-    ex.dfg.validate();
-    Expanded {
-        dfg: ex.dfg,
-        hint_values: ex.hints,
-        used_ghs,
-        n: program.n,
-        output_values,
-        hom_order: order.to_vec(),
+    ex
+}
+
+/// What the expander emits into: the [`Dfg`] itself, or a [`Tally`] of
+/// only what the `Auto` chooser reads. Listing 1's and GHS's shapes are
+/// written once, against this trait.
+trait Sink {
+    /// Registers a value with no producer (an input or hint vector).
+    fn value(&mut self, kind: ValueKind) -> ValueId;
+    /// Adds an instruction and returns the value it produces.
+    fn instr(&mut self, op: VectorOp, inputs: &[ValueId], priority: u64) -> ValueId;
+    /// Marks a value as a program output.
+    fn output(&mut self, v: ValueId);
+}
+
+impl Sink for Dfg {
+    fn value(&mut self, kind: ValueKind) -> ValueId {
+        self.add_value(kind)
+    }
+
+    fn instr(&mut self, op: VectorOp, inputs: &[ValueId], priority: u64) -> ValueId {
+        self.add_instr(op, inputs.to_vec(), priority)
+    }
+
+    fn output(&mut self, v: ValueId) {
+        self.mark_output(v);
+    }
+}
+
+/// One value as the [`Tally`] sees it.
+struct TallyValue {
+    kind: ValueKind,
+    /// Operand slots that read the value (a square counts twice, as in
+    /// [`Dfg::users`]).
+    users: u32,
+    /// Forward streaming depth: the producer's [`stream_weight`] plus the
+    /// deepest input's depth; `0` for values with no producer.
+    depth: u64,
+}
+
+/// A sink that keeps only what [`Tally::makespan_bound`] reads: the
+/// instruction count per FU class, each value's kind, user count and
+/// forward depth, and the number of output marks. The largest forward
+/// depth is the longest weighted path, the same number as the max of
+/// [`Dfg::critical_depths`] under the same weights.
+struct Tally {
+    n: usize,
+    /// [`stream_weight`] per FU class, by [`FuType::index`].
+    weight: [u64; 4],
+    fu_count: [u64; 4],
+    values: Vec<TallyValue>,
+    outputs: u64,
+}
+
+impl Sink for Tally {
+    fn value(&mut self, kind: ValueKind) -> ValueId {
+        self.values.push(TallyValue { kind, users: 0, depth: 0 });
+        ValueId(self.values.len() as u32 - 1)
+    }
+
+    fn instr(&mut self, op: VectorOp, inputs: &[ValueId], _priority: u64) -> ValueId {
+        let fu = op.fu_type().index();
+        self.fu_count[fu] += 1;
+        let mut below = 0;
+        for &v in inputs {
+            let input = &mut self.values[v.0 as usize];
+            input.users += 1;
+            below = below.max(input.depth);
+        }
+        let depth = self.weight[fu] + below;
+        self.values.push(TallyValue { kind: ValueKind::Intermediate, users: 0, depth });
+        ValueId(self.values.len() as u32 - 1)
+    }
+
+    fn output(&mut self, v: ValueId) {
+        let info = &mut self.values[v.0 as usize];
+        if info.kind == ValueKind::Intermediate {
+            info.kind = ValueKind::Output;
+        }
+        self.outputs += 1;
+    }
+}
+
+impl Tally {
+    fn new(n: usize, arch: &ArchConfig) -> Self {
+        let mut weight = [0; 4];
+        for &fu in FuType::ALL.iter() {
+            weight[fu.index()] = stream_weight(arch, fu, n);
+        }
+        Self { n, weight, fu_count: [0; 4], values: Vec::new(), outputs: 0 }
+    }
+
+    /// Bytes of one value: a full residue vector, as [`Dfg`] sizes it.
+    fn value_bytes(&self) -> u64 {
+        4 * self.n as u64
+    }
+
+    /// Inputs and hint vectors that some instruction reads.
+    fn loadable(&self) -> impl Iterator<Item = &TallyValue> {
+        self.values.iter().filter(|v| {
+            matches!(v.kind, ValueKind::Input | ValueKind::KeySwitchHint) && v.users > 0
+        })
+    }
+
+    /// Bytes of the loadable working set, each value fetched once.
+    fn working_set_bytes(&self) -> u64 {
+        self.loadable().count() as u64 * self.value_bytes()
+    }
+
+    /// Bytes of every read of a loadable value beyond its first.
+    fn reread_bytes(&self) -> u64 {
+        self.loadable().map(|v| (v.users as u64 - 1) * self.value_bytes()).sum()
+    }
+
+    /// Bytes stored once per output mark.
+    fn output_bytes(&self) -> u64 {
+        self.outputs * self.value_bytes()
+    }
+
+    /// The streaming critical path.
+    fn max_depth(&self) -> u64 {
+        self.values.iter().map(|v| v.depth).max().unwrap_or(0)
+    }
+
+    /// Estimated makespan on `arch`: the max of three lower bounds —
+    /// per-class FU throughput, off-chip traffic over aggregate
+    /// bandwidth, and the streaming critical path. The traffic bound
+    /// includes a **capacity term**: when the loadable working set
+    /// (hints + inputs) exceeds the scratchpad, the overflow fraction of
+    /// every re-read beyond a value's first turns into a refetch, so a
+    /// variant with smaller hints (GHS) wins on capacity-starved machines
+    /// even where decomposition wins at 64 MB. The cycle-level scheduler
+    /// approaches whichever bound binds.
+    fn makespan_bound(&self, arch: &ArchConfig) -> u64 {
+        // FU-throughput bound per class (all instructions of a class
+        // share one occupancy at ring size n).
+        let fu_bound = FuType::ALL
+            .iter()
+            .map(|&fu| {
+                self.fu_count[fu.index()] * arch.occupancy(fu, self.n)
+                    / (arch.fus_per_cluster(fu) * arch.clusters).max(1) as u64
+            })
+            .max()
+            .unwrap_or(0);
+        // Bandwidth bound: compulsory traffic (used inputs and hints
+        // loaded once, outputs stored once) — the hint-reuse order keeps
+        // refetches negligible for working sets that fit the scratchpad.
+        let working_set = self.working_set_bytes();
+        let mut traffic = working_set + self.output_bytes();
+        // Capacity term: the overflow fraction of the working set cannot
+        // stay resident, so that share of every repeat read is a refetch.
+        let cap = arch.scratchpad_bytes();
+        if working_set > cap {
+            let overflow = (working_set - cap) as f64 / working_set as f64;
+            traffic += (self.reread_bytes() as f64 * overflow) as u64;
+        }
+        fu_bound.max(arch.mem_cycles(traffic)).max(self.max_depth())
     }
 }
 
@@ -334,9 +410,9 @@ fn hint_of(op: &HomOp) -> Option<HintId> {
     }
 }
 
-struct Expander<'p> {
+struct Expander<'p, S> {
     program: &'p Program,
-    dfg: Dfg,
+    sink: S,
     hints: BTreeMap<HintId, Vec<ValueId>>,
     /// Lowered ciphertexts, indexed by [`CtId`] (= op index; `None` until
     /// the op lowers). Dense tables — the per-op lookups are hot.
@@ -344,10 +420,10 @@ struct Expander<'p> {
     plains: Vec<Option<Vec<ValueId>>>,
     priority: u64,
     used_ghs: bool,
-    ghs_specials: usize,
+    output_values: Vec<Vec<ValueId>>,
 }
 
-impl Expander<'_> {
+impl<S: Sink> Expander<'_, S> {
     fn ct(&self, id: CtId) -> &LoweredCt {
         self.cts[id.0 as usize].as_ref().expect("ciphertext not yet lowered")
     }
@@ -355,17 +431,10 @@ impl Expander<'_> {
     fn plain(&self, id: CtId) -> &[ValueId] {
         self.plains[id.0 as usize].as_deref().expect("plaintext not yet lowered")
     }
-}
 
-impl<'p> Expander<'p> {
-    fn next_priority(&mut self) -> u64 {
+    fn emit(&mut self, op: VectorOp, inputs: &[ValueId]) -> ValueId {
         self.priority += 1;
-        self.priority
-    }
-
-    fn emit(&mut self, op: VectorOp, inputs: Vec<ValueId>) -> ValueId {
-        let p = self.next_priority();
-        self.dfg.add_instr(op, inputs, p)
+        self.sink.instr(op, inputs, self.priority)
     }
 
     fn lower_op(&mut self, idx: usize) {
@@ -373,25 +442,19 @@ impl<'p> Expander<'p> {
         let level = self.program.level_of(id);
         match self.program.ops()[idx].clone() {
             HomOp::Input { level } => {
-                let a = (0..level)
-                    .map(|i| self.dfg.add_value(ValueKind::Input, Some(format!("ct{idx}.a[{i}]"))))
-                    .collect();
-                let b = (0..level)
-                    .map(|i| self.dfg.add_value(ValueKind::Input, Some(format!("ct{idx}.b[{i}]"))))
-                    .collect();
+                let a = (0..level).map(|_| self.sink.value(ValueKind::Input)).collect();
+                let b = (0..level).map(|_| self.sink.value(ValueKind::Input)).collect();
                 self.cts[id.0 as usize] = Some(LoweredCt { a, b });
             }
             HomOp::PlainInput { level } => {
-                let p = (0..level)
-                    .map(|i| self.dfg.add_value(ValueKind::Input, Some(format!("pt{idx}[{i}]"))))
-                    .collect();
+                let p = (0..level).map(|_| self.sink.value(ValueKind::Input)).collect();
                 self.plains[id.0 as usize] = Some(p);
             }
             HomOp::Add { a, b } => {
                 let (x, y) = (self.ct(a).clone(), self.ct(b).clone());
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Add, vec![x.a[i], y.a[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![x.b[i], y.b[i]])).collect(),
+                    a: (0..level).map(|i| self.emit(VectorOp::Add, &[x.a[i], y.a[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[x.b[i], y.b[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -400,7 +463,7 @@ impl<'p> Expander<'p> {
                 let pt = self.plain(p).to_vec();
                 let out = LoweredCt {
                     a: x.a.clone(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![x.b[i], pt[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[x.b[i], pt[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -408,8 +471,8 @@ impl<'p> Expander<'p> {
                 let x = self.ct(a).clone();
                 let pt = self.plain(p).to_vec();
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.a[i], pt[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.b[i], pt[i]])).collect(),
+                    a: (0..level).map(|i| self.emit(VectorOp::Mul, &[x.a[i], pt[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Mul, &[x.b[i], pt[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -417,33 +480,33 @@ impl<'p> Expander<'p> {
                 let (x, y) = (self.ct(a).clone(), self.ct(b).clone());
                 // Tensor (§2.2.1): l2 = a0*a1, l1 = a0*b1 + a1*b0, l0 = b0*b1.
                 let l2: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.a[i], y.a[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Mul, &[x.a[i], y.a[i]])).collect();
                 let l1: Vec<ValueId> = (0..level)
                     .map(|i| {
-                        let t1 = self.emit(VectorOp::Mul, vec![x.a[i], y.b[i]]);
-                        let t2 = self.emit(VectorOp::Mul, vec![x.b[i], y.a[i]]);
-                        self.emit(VectorOp::Add, vec![t1, t2])
+                        let t1 = self.emit(VectorOp::Mul, &[x.a[i], y.b[i]]);
+                        let t2 = self.emit(VectorOp::Mul, &[x.b[i], y.a[i]]);
+                        self.emit(VectorOp::Add, &[t1, t2])
                     })
                     .collect();
                 let l0: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Mul, vec![x.b[i], y.b[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Mul, &[x.b[i], y.b[i]])).collect();
                 let (u0, u1) = self.keyswitch(&l2, HintId::Relin, level);
                 let out = LoweredCt {
-                    a: (0..level).map(|i| self.emit(VectorOp::Add, vec![l1[i], u1[i]])).collect(),
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![l0[i], u0[i]])).collect(),
+                    a: (0..level).map(|i| self.emit(VectorOp::Add, &[l1[i], u1[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[l0[i], u0[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
             HomOp::Aut { a, k } => {
                 let x = self.ct(a).clone();
                 let sa: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, vec![x.a[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, &[x.a[i]])).collect();
                 let sb: Vec<ValueId> =
-                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, vec![x.b[i]])).collect();
+                    (0..level).map(|i| self.emit(VectorOp::Aut { k }, &[x.b[i]])).collect();
                 let (u0, u1) = self.keyswitch(&sa, HintId::Aut(k), level);
                 let out = LoweredCt {
                     a: u1,
-                    b: (0..level).map(|i| self.emit(VectorOp::Add, vec![sb[i], u0[i]])).collect(),
+                    b: (0..level).map(|i| self.emit(VectorOp::Add, &[sb[i], u0[i]])).collect(),
                 };
                 self.cts[id.0 as usize] = Some(out);
             }
@@ -454,12 +517,12 @@ impl<'p> Expander<'p> {
                 let lower = |poly: &[ValueId], this: &mut Self| -> Vec<ValueId> {
                     // δ = INTT(top limb); per remaining limb: NTT(δ),
                     // subtract, scale by q_top^{-1} (§2.2.2 in RNS form).
-                    let delta = this.emit(VectorOp::Intt, vec![poly[top]]);
+                    let delta = this.emit(VectorOp::Intt, &[poly[top]]);
                     (0..out_level)
                         .map(|j| {
-                            let d = this.emit(VectorOp::Ntt, vec![delta]);
-                            let s = this.emit(VectorOp::Sub, vec![poly[j], d]);
-                            this.emit(VectorOp::ScalarMul, vec![s])
+                            let d = this.emit(VectorOp::Ntt, &[delta]);
+                            let s = this.emit(VectorOp::Sub, &[poly[j], d]);
+                            this.emit(VectorOp::ScalarMul, &[s])
                         })
                         .collect()
                 };
@@ -477,9 +540,8 @@ impl<'p> Expander<'p> {
                 return v.clone();
             }
         }
-        let vals: Vec<ValueId> = (0..count)
-            .map(|i| self.dfg.add_value(ValueKind::KeySwitchHint, Some(format!("{hint:?}[{i}]"))))
-            .collect();
+        let vals: Vec<ValueId> =
+            (0..count).map(|_| self.sink.value(ValueKind::KeySwitchHint)).collect();
         self.hints.insert(hint, vals.clone());
         vals
     }
@@ -505,66 +567,65 @@ impl<'p> Expander<'p> {
         let ksh0 = |i: usize, j: usize| hints[i * l + j];
         let ksh1 = |i: usize, j: usize| hints[l * l + i * l + j];
         // Line 3: y = [INTT(x[i])].
-        let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, vec![x[i]])).collect();
+        let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, &[x[i]])).collect();
         let mut u0: Vec<Option<ValueId>> = vec![None; l];
         let mut u1: Vec<Option<ValueId>> = vec![None; l];
         for i in 0..l {
             for j in 0..l {
                 // Line 8: xqj = (i == j) ? x[i] : NTT(y[i], q_j).
-                let xqj = if i == j { x[i] } else { self.emit(VectorOp::Ntt, vec![y[i]]) };
+                let xqj = if i == j { x[i] } else { self.emit(VectorOp::Ntt, &[y[i]]) };
                 // Lines 9-10: multiply-accumulate against both hint rows.
-                let m0 = self.emit(VectorOp::Mul, vec![xqj, ksh0(i, j)]);
+                let m0 = self.emit(VectorOp::Mul, &[xqj, ksh0(i, j)]);
                 u0[j] = Some(match u0[j] {
                     None => m0,
-                    Some(acc) => self.emit(VectorOp::Add, vec![acc, m0]),
+                    Some(acc) => self.emit(VectorOp::Add, &[acc, m0]),
                 });
-                let m1 = self.emit(VectorOp::Mul, vec![xqj, ksh1(i, j)]);
+                let m1 = self.emit(VectorOp::Mul, &[xqj, ksh1(i, j)]);
                 u1[j] = Some(match u1[j] {
                     None => m1,
-                    Some(acc) => self.emit(VectorOp::Add, vec![acc, m1]),
+                    Some(acc) => self.emit(VectorOp::Add, &[acc, m1]),
                 });
             }
         }
         (u0.into_iter().map(Option::unwrap).collect(), u1.into_iter().map(Option::unwrap).collect())
     }
 
-    /// GHS-style key-switch: raise `x` into `L + K` limbs, multiply by an
-    /// `O(L)` hint, then divide by the special modulus with rounding.
-    /// More compute, far smaller hints (§2.4).
+    /// GHS-style key-switch: raise `x` into `L + K` limbs with `K = L`
+    /// special limbs, multiply by an `O(L)` hint, then divide by the
+    /// special modulus with rounding. More compute, far smaller hints
+    /// (§2.4).
     fn keyswitch_ghs(
         &mut self,
         x: &[ValueId],
         hint: HintId,
         l: usize,
     ) -> (Vec<ValueId>, Vec<ValueId>) {
-        let k = if self.ghs_specials == 0 { l.max(1) } else { self.ghs_specials };
-        let total = l + k;
+        let total = l + l;
         let hints = self.hint_vals(hint, 2 * total);
-        let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, vec![x[i]])).collect();
+        let y: Vec<ValueId> = (0..l).map(|i| self.emit(VectorOp::Intt, &[x[i]])).collect();
         // Basis extension: per target limb, a digit-weighted sum of the
         // coefficient-domain limbs, then one forward NTT.
         let lifted: Vec<ValueId> = (0..total)
             .map(|_| {
-                let mut acc = self.emit(VectorOp::ScalarMul, vec![y[0]]);
+                let mut acc = self.emit(VectorOp::ScalarMul, &[y[0]]);
                 for yi in y.iter().skip(1) {
-                    acc = self.emit(VectorOp::ScalarMulAdd, vec![acc, *yi]);
+                    acc = self.emit(VectorOp::ScalarMulAdd, &[acc, *yi]);
                 }
-                self.emit(VectorOp::Ntt, vec![acc])
+                self.emit(VectorOp::Ntt, &[acc])
             })
             .collect();
         let mut u0: Vec<ValueId> =
-            (0..total).map(|j| self.emit(VectorOp::Mul, vec![lifted[j], hints[j]])).collect();
-        let mut u1: Vec<ValueId> = (0..total)
-            .map(|j| self.emit(VectorOp::Mul, vec![lifted[j], hints[total + j]]))
-            .collect();
+            (0..total).map(|j| self.emit(VectorOp::Mul, &[lifted[j], hints[j]])).collect();
+        let mut u1: Vec<ValueId> =
+            (0..total).map(|j| self.emit(VectorOp::Mul, &[lifted[j], hints[total + j]])).collect();
         // Rounded division by each special prime (both polynomials).
         for poly in [&mut u0, &mut u1] {
             for sp in (l..total).rev() {
-                let delta = self.emit(VectorOp::Intt, vec![poly[sp]]);
+                let delta = self.emit(VectorOp::Intt, &[poly[sp]]);
                 for limb in poly.iter_mut().take(sp) {
-                    let d = self.emit(VectorOp::Ntt, vec![delta]);
-                    let s = self.emit(VectorOp::Sub, vec![*limb, d]);
-                    *limb = self.emit(VectorOp::ScalarMul, vec![s]);
+                    let d = self.emit(VectorOp::Ntt, &[delta]);
+                    let s = self.emit(VectorOp::Sub, &[*limb, d]);
+                    *limb = self.emit(VectorOp::ScalarMul, &[s]);
                 }
             }
             poly.truncate(l);
@@ -775,6 +836,121 @@ mod tests {
         assert_eq!(c["ntt"], 2 * 2);
         assert_eq!(c["scalar_mul"], 2 * 2);
         assert_eq!(ex.output_values[0].len(), 2 * 2, "output at level 2");
+    }
+
+    /// A random program over levels 1–5: every hom op, squares, shared
+    /// plaintexts, and one or two outputs drawn from all values (inputs
+    /// included). Deterministic xorshift, so a failing seed reproduces.
+    fn random_program(seed: u64) -> Program {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        let mut p = Program::new(1 << 10);
+        let pt = p.plain_input(5);
+        let mut cts = vec![p.input(2 + next(4)), p.input(2 + next(4))];
+        for _ in 0..4 + next(12) {
+            let a = cts[next(cts.len())];
+            let b = cts[next(cts.len())];
+            let same_level = p.level_of(a) == p.level_of(b);
+            let new = match next(7) {
+                0 if same_level => p.add(a, b),
+                1 if same_level => p.mul(a, b),
+                2 => p.mul(a, a),
+                3 => p.rotate(a, 1 + next(3)),
+                4 if p.level_of(a) >= 2 => p.mod_switch(a),
+                5 => p.mul_plain(a, pt),
+                _ => p.add_plain(a, pt),
+            };
+            cts.push(new);
+        }
+        for _ in 0..1 + next(2) {
+            p.output(cts[next(cts.len())]);
+        }
+        p
+    }
+
+    /// Lowers `p` with one variant into both sinks and checks that the
+    /// tally holds exactly what the built `Dfg` says: per-class counts,
+    /// each value's kind and user count, loadable, re-read and output
+    /// bytes, and the critical path (against `critical_depths`). Returns
+    /// the built expander for case-specific checks.
+    fn check_tally(p: &Program, used_ghs: bool) -> Expander<'_, Dfg> {
+        let arch = ArchConfig::f1_default();
+        let order = hint_reuse_order(p);
+        let tally = lower(p, &order, used_ghs, Tally::new(p.n, &arch)).sink;
+        let built = lower(p, &order, used_ghs, Dfg::new(p.n));
+        let dfg = &built.sink;
+        let mut count = [0u64; 4];
+        for i in dfg.instrs() {
+            count[i.op.fu_type().index()] += 1;
+        }
+        assert_eq!(tally.fu_count, count, "FU class counts");
+        assert_eq!(tally.values.len(), dfg.values().len());
+        for (t, v) in tally.values.iter().zip(dfg.values()) {
+            assert_eq!(t.kind, v.kind, "kind of {:?}", v.id);
+            assert_eq!(t.users as usize, dfg.users(v.id).len(), "users of {:?}", v.id);
+        }
+        let loadable: Vec<_> = dfg
+            .values()
+            .iter()
+            .filter(|v| matches!(v.kind, ValueKind::Input | ValueKind::KeySwitchHint))
+            .filter(|v| !dfg.users(v.id).is_empty())
+            .collect();
+        assert_eq!(tally.working_set_bytes(), loadable.iter().map(|v| v.bytes).sum::<u64>());
+        let reread: u64 =
+            loadable.iter().map(|v| (dfg.users(v.id).len() as u64 - 1) * v.bytes).sum();
+        assert_eq!(tally.reread_bytes(), reread);
+        let out_bytes: u64 = dfg.outputs().iter().map(|&v| dfg.value(v).bytes).sum();
+        assert_eq!(tally.output_bytes(), out_bytes);
+        let cp = dfg.critical_depths(&|i| stream_weight(&arch, i.op.fu_type(), p.n));
+        assert_eq!(tally.max_depth(), cp.into_iter().max().unwrap_or(0), "critical path");
+        built
+    }
+
+    #[test]
+    fn tally_matches_built_dfg() {
+        for used_ghs in [false, true] {
+            for seed in 0..40 {
+                check_tally(&random_program(seed), used_ghs);
+            }
+            // A square: one value read twice by one instruction.
+            let mut p = Program::new(1 << 10);
+            let x = p.input(3);
+            let sq = p.mul(x, x);
+            p.output(sq);
+            let built = check_tally(&p, used_ghs);
+            let a0 = built.ct(x).a[0];
+            assert!(built.sink.instrs().iter().any(|i| i.inputs == [a0, a0]));
+            // An output that is an input stays an input.
+            let mut p = Program::new(1 << 10);
+            let x = p.input(2);
+            let r = p.rotate(x, 1);
+            p.output(x);
+            p.output(r);
+            let built = check_tally(&p, used_ghs);
+            let a0 = built.ct(x).a[0];
+            assert_eq!(built.sink.value(a0).kind, ValueKind::Input);
+            assert!(built.sink.outputs().contains(&a0));
+            // The relinearization hint is first used at level 2, then
+            // re-created larger at level 3; the level-2 vectors keep
+            // their users.
+            let mut p = Program::new(1 << 10);
+            let lo = p.input(2);
+            let hi = p.input(3);
+            let m_lo = p.mul(lo, lo);
+            let m_hi = p.mul(hi, hi);
+            p.output(m_lo);
+            p.output(m_hi);
+            let built = check_tally(&p, used_ghs);
+            let dfg = &built.sink;
+            let hints = dfg.values().iter().filter(|v| v.kind == ValueKind::KeySwitchHint);
+            let kept = built.hints[&HintId::Relin].len();
+            assert!(hints.count() > kept, "hint vectors were re-created");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! let program = Program::listing2_matvec(1 << 12, 4, 2);
 //! let arch = ArchConfig::f1_default();
-//! let (_ex, _plan, cycles) = f1::compiler_compile(&program, &arch);
+//! let (_ex, _plan, cycles) = f1::compiler::compile(&program, &arch);
 //! assert!(cycles.makespan > 0);
 //! ```
 
@@ -24,11 +24,3 @@ pub use f1_modarith as modarith;
 pub use f1_poly as poly;
 pub use f1_sim as sim;
 pub use f1_workloads as workloads;
-
-/// Compiles a DSL program end-to-end (see [`f1_compiler::compile`]).
-pub fn compiler_compile(
-    program: &f1_compiler::Program,
-    arch: &f1_arch::ArchConfig,
-) -> (f1_compiler::Expanded, f1_compiler::MovePlan, f1_compiler::CycleSchedule) {
-    f1_compiler::compile(program, arch)
-}

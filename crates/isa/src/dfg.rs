@@ -8,7 +8,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
 
 /// Identifies a value (one `RVec`) in a [`Dfg`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -97,8 +96,6 @@ pub struct ValueInfo {
     pub kind: ValueKind,
     /// Size in bytes (4·N for a full residue vector).
     pub bytes: u64,
-    /// Optional label for diagnostics (e.g. `"ksh_mul[3][7]"`).
-    pub label: Option<String>,
 }
 
 /// One vector instruction.
@@ -123,7 +120,7 @@ pub struct Instruction {
 /// are allocated densely by construction): the schedulers touch them
 /// several times per instruction and hashing dominated the passes at
 /// full benchmark scale.
-#[derive(Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Dfg {
     /// Ring dimension: every value is an `N`-element residue vector.
     pub n: usize,
@@ -135,72 +132,6 @@ pub struct Dfg {
     users: Vec<Vec<InstrId>>,
     /// Values that must be written back to memory.
     outputs: Vec<ValueId>,
-    /// Memoized [`Self::critical_depths`] results keyed by the caller's
-    /// weight-function fingerprint (see [`Self::critical_depths_cached`]).
-    /// Fixed write-once slots: reads are lock-free, so concurrent
-    /// schedulers (the parallel suite driver) never contend on a lock.
-    /// Derived data: excluded from `Debug`, `Clone`, serialization.
-    depth_cache: [OnceLock<(u64, Arc<Vec<u64>>)>; DEPTH_CACHE_SLOTS],
-}
-
-/// Distinct depth weightings the passes use (expand's makespan estimate
-/// and the cycle scheduler share one, CSR uses unit weights; headroom
-/// for two more). Overflow falls back to an uncached recompute.
-const DEPTH_CACHE_SLOTS: usize = 4;
-
-impl Clone for Dfg {
-    fn clone(&self) -> Self {
-        Self {
-            n: self.n,
-            values: self.values.clone(),
-            instrs: self.instrs.clone(),
-            producer: self.producer.clone(),
-            users: self.users.clone(),
-            outputs: self.outputs.clone(),
-            // The cache is derived data; a clone starts cold.
-            depth_cache: Default::default(),
-        }
-    }
-}
-
-impl std::fmt::Debug for Dfg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Stable rendering for fingerprints: every semantic field, never
-        // the memoization cache (its fill state depends on call history).
-        f.debug_struct("Dfg")
-            .field("n", &self.n)
-            .field("values", &self.values)
-            .field("instrs", &self.instrs)
-            .field("producer", &self.producer)
-            .field("users", &self.users)
-            .field("outputs", &self.outputs)
-            .finish()
-    }
-}
-
-impl Serialize for Dfg {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        self.n.serialize(out);
-        self.values.serialize(out);
-        self.instrs.serialize(out);
-        self.producer.serialize(out);
-        self.users.serialize(out);
-        self.outputs.serialize(out);
-    }
-}
-
-impl Deserialize for Dfg {
-    fn deserialize(r: &mut serde::Reader<'_>) -> Result<Self, serde::Error> {
-        Ok(Self {
-            n: Deserialize::deserialize(r)?,
-            values: Deserialize::deserialize(r)?,
-            instrs: Deserialize::deserialize(r)?,
-            producer: Deserialize::deserialize(r)?,
-            users: Deserialize::deserialize(r)?,
-            outputs: Deserialize::deserialize(r)?,
-            depth_cache: Default::default(),
-        })
-    }
 }
 
 impl Dfg {
@@ -210,9 +141,9 @@ impl Dfg {
     }
 
     /// Registers a new value of the given kind and returns its id.
-    pub fn add_value(&mut self, kind: ValueKind, label: Option<String>) -> ValueId {
+    pub fn add_value(&mut self, kind: ValueKind) -> ValueId {
         let id = ValueId(self.values.len() as u32);
-        self.values.push(ValueInfo { id, kind, bytes: 4 * self.n as u64, label });
+        self.values.push(ValueInfo { id, kind, bytes: 4 * self.n as u64 });
         self.producer.push(None);
         self.users.push(Vec::new());
         id
@@ -229,7 +160,7 @@ impl Dfg {
         for &v in &inputs {
             assert!((v.0 as usize) < self.values.len(), "unknown input value {v:?}");
         }
-        let out = self.add_value(ValueKind::Intermediate, None);
+        let out = self.add_value(ValueKind::Intermediate);
         let id = InstrId(self.instrs.len() as u32);
         for &v in &inputs {
             self.users[v.0 as usize].push(id);
@@ -333,47 +264,6 @@ impl Dfg {
         depth
     }
 
-    /// Memoized [`Self::critical_depths`]: `key` must fingerprint the
-    /// weight function (same key ⇔ same `weight(i)` for every
-    /// instruction — the caller's contract). Scheduling passes call the
-    /// depth computation with a handful of distinct weightings but retry
-    /// with the same ones (expand's makespan estimate and the cycle
-    /// scheduler share one; the CSR pass uses unit weights), so a few
-    /// write-once slots remove the repeated O(V + E) walks without
-    /// changing any result. Hits are lock-free scans; on a slot race the
-    /// loser either adopts the winner's same-key result or moves to the
-    /// next slot, and a full cache degrades to recomputing — never to
-    /// blocking.
-    pub fn critical_depths_cached(
-        &self,
-        key: u64,
-        weight: &dyn Fn(&Instruction) -> u64,
-    ) -> Arc<Vec<u64>> {
-        for slot in &self.depth_cache {
-            if let Some((k, depths)) = slot.get() {
-                if *k == key {
-                    return Arc::clone(depths);
-                }
-            }
-        }
-        let depths = Arc::new(self.critical_depths(weight));
-        for slot in &self.depth_cache {
-            match slot.set((key, Arc::clone(&depths))) {
-                Ok(()) => return depths,
-                // Lost the race for this slot: if the winner cached our
-                // key, its copy is the canonical one.
-                Err(_) => {
-                    if let Some((k, d)) = slot.get() {
-                        if *k == key {
-                            return Arc::clone(d);
-                        }
-                    }
-                }
-            }
-        }
-        depths
-    }
-
     /// Validates SSA and acyclicity invariants; returns instruction count.
     ///
     /// # Panics
@@ -398,9 +288,9 @@ mod tests {
 
     fn tiny_graph() -> (Dfg, ValueId, ValueId, ValueId) {
         let mut g = Dfg::new(1024);
-        let a = g.add_value(ValueKind::Input, Some("a".into()));
-        let b = g.add_value(ValueKind::Input, Some("b".into()));
-        let h = g.add_value(ValueKind::KeySwitchHint, Some("ksh".into()));
+        let a = g.add_value(ValueKind::Input);
+        let b = g.add_value(ValueKind::Input);
+        let h = g.add_value(ValueKind::KeySwitchHint);
         (g, a, b, h)
     }
 
@@ -432,7 +322,7 @@ mod tests {
     fn value_sizes_follow_ring() {
         let g = Dfg::new(16384);
         let mut g = g;
-        let v = g.add_value(ValueKind::Input, None);
+        let v = g.add_value(ValueKind::Input);
         assert_eq!(g.value(v).bytes, 64 * 1024, "one RVec at N=16K is 64 KB (§2.4)");
     }
 
@@ -477,52 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_depths_match_and_key_discriminates() {
-        let (mut g, a, b, h) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], 0);
-        let p = g.add_instr(VectorOp::Mul, vec![s, h], 1);
-        let t = g.add_instr(VectorOp::Ntt, vec![p], 2);
-        g.mark_output(t);
-        let unit = |_: &Instruction| 1u64;
-        let heavy = |i: &Instruction| if matches!(i.op, VectorOp::Ntt) { 100u64 } else { 1 };
-        let d1 = g.critical_depths_cached(7, &unit);
-        let d2 = g.critical_depths_cached(7, &unit);
-        assert!(Arc::ptr_eq(&d1, &d2), "same key must hit the cache");
-        assert_eq!(*d1, g.critical_depths(&unit));
-        let d3 = g.critical_depths_cached(8, &heavy);
-        assert_eq!(*d3, g.critical_depths(&heavy));
-        assert_ne!(*d1, *d3, "distinct keys keep distinct results");
-        // Clones and serde round-trips start with a cold cache but the
-        // same semantic contents.
-        let clone = g.clone();
-        assert_eq!(format!("{:?}", clone), format!("{:?}", g));
-        let bytes = serde::to_bytes(&g);
-        let back: Dfg = serde::from_bytes(&bytes).expect("dfg round-trips");
-        assert_eq!(format!("{:?}", back), format!("{:?}", g));
-    }
-
-    #[test]
-    fn depth_cache_overflow_degrades_to_recompute() {
-        let (mut g, a, b, _) = tiny_graph();
-        let s = g.add_instr(VectorOp::Add, vec![a, b], 0);
-        g.mark_output(s);
-        // Fill every write-once slot with distinct keys, then keep going:
-        // results must stay correct (uncached) and earlier keys must
-        // still hit their slots.
-        let first = g.critical_depths_cached(0, &|_| 1u64);
-        for key in 1..2 * DEPTH_CACHE_SLOTS as u64 {
-            let w = move |_: &Instruction| key + 1;
-            let d = g.critical_depths_cached(key, &w);
-            assert_eq!(*d, g.critical_depths(&w), "key {key} result wrong");
-        }
-        let again = g.critical_depths_cached(0, &|_| 1u64);
-        assert!(Arc::ptr_eq(&first, &again), "slot 0 must survive overflow");
-    }
-
-    #[test]
     fn kind_byte_totals() {
         let (mut g, _, _, _) = tiny_graph();
-        let _ = g.add_value(ValueKind::KeySwitchHint, None);
+        let _ = g.add_value(ValueKind::KeySwitchHint);
         assert_eq!(g.bytes_of_kind(ValueKind::KeySwitchHint), 2 * 4 * 1024);
         assert_eq!(g.bytes_of_kind(ValueKind::Input), 2 * 4 * 1024);
     }

@@ -640,7 +640,7 @@ mod tests {
 
         let n = 1024usize; // 4 KB values
         let mut dfg = Dfg::new(n);
-        let a = dfg.add_value(ValueKind::Input, Some("a".into()));
+        let a = dfg.add_value(ValueKind::Input);
         let v1 = dfg.add_instr(VectorOp::Ntt, vec![a], 0); // i0: reads a pre-evict
         let v2 = dfg.add_instr(VectorOp::Ntt, vec![a], 1); // i1: reads a post-refetch
         let v3 = dfg.add_instr(VectorOp::Add, vec![v1, v2], 2); // i2

@@ -11,7 +11,7 @@ use f1::workloads::CpuBaseline;
 fn main() {
     let b = lola_mnist_uw(1);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cycles) = f1::compiler_compile(&b.program, &arch);
+    let (ex, plan, cycles) = f1::compiler::compile(&b.program, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
     let baseline = CpuBaseline::measure(&b.program, 1024);
     let cpu_s = baseline.estimate_seconds_parallel(&b.program, b.n);

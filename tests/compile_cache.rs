@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn artifacts_round_trip_and_replay_bit_for_bit(p in arb_program()) {
         for arch in pads() {
-            let (ex, plan, cs) = f1::compiler_compile(&p, &arch);
+            let (ex, plan, cs) = f1::compiler::compile(&p, &arch);
             let bytes = serde::to_bytes(&(&ex, &plan, &cs));
             let (ex2, plan2, cs2): (Expanded, MovePlan, CycleSchedule) =
                 serde::from_bytes(&bytes).expect("artifacts must deserialize");

@@ -19,7 +19,7 @@ fn compile_simulate_and_verify_matvec() {
     let n_hw = 1 << 13;
     let p_hw = Program::listing2_matvec(n_hw, 8, 4);
     let arch = ArchConfig::f1_default();
-    let (ex, plan, cycles) = f1::compiler_compile(&p_hw, &arch);
+    let (ex, plan, cycles) = f1::compiler::compile(&p_hw, &arch);
     let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
     assert!(report.makespan > 0);
     assert!(report.traffic.compulsory() > 0);
@@ -51,7 +51,7 @@ fn compile_simulate_and_verify_matvec() {
 fn every_benchmark_compiles_validates_and_is_memory_sane() {
     let arch = ArchConfig::f1_default();
     for b in f1::workloads::all_benchmarks(16) {
-        let (ex, plan, cycles) = f1::compiler_compile(&b.program, &arch);
+        let (ex, plan, cycles) = f1::compiler::compile(&b.program, &arch);
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
         // Traffic can never be below the compulsory bound.
         assert!(report.traffic.total() >= report.traffic.compulsory(), "{}", b.name);

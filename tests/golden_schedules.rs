@@ -148,7 +148,7 @@ fn check_suite(arch: &ArchConfig, pins: &[Pin], must_spill: bool) {
     assert_eq!(benches.len(), pins.len(), "one pin per benchmark");
     for (b, pin) in benches.iter().zip(pins) {
         assert_eq!(b.name, pin.name, "suite order changed");
-        let (_, plan, cs) = f1::compiler_compile(&b.program, arch);
+        let (_, plan, cs) = f1::compiler::compile(&b.program, arch);
         if must_spill {
             assert!(plan.traffic.non_compulsory() > 0, "{}: this pad must spill", b.name);
         }

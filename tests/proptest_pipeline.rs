@@ -41,7 +41,7 @@ proptest! {
     #[test]
     fn random_programs_schedule_validly(p in arb_program()) {
         let arch = ArchConfig::f1_default();
-        let (ex, plan, cycles) = f1::compiler_compile(&p, &arch);
+        let (ex, plan, cycles) = f1::compiler::compile(&p, &arch);
         // check_schedule panics on any dependence/hazard violation.
         let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
         prop_assert!(report.traffic.total() >= report.traffic.compulsory());
@@ -68,7 +68,7 @@ proptest! {
         // of check_schedule: no two ComputeEntrys may share a
         // (cluster, fu, fu_index) slot with overlapping occupancy.
         let arch = ArchConfig::f1_default();
-        let (ex, _, cycles) = f1::compiler_compile(&p, &arch);
+        let (ex, _, cycles) = f1::compiler::compile(&p, &arch);
         let mut by_slot: std::collections::HashMap<(usize, f1::isa::FuType, usize), Vec<u64>> =
             std::collections::HashMap::new();
         for (c, stream) in cycles.schedule.compute.iter().enumerate() {
@@ -101,7 +101,7 @@ proptest! {
             let mut arch = ArchConfig::f1_default();
             arch.scratchpad_banks = 1;
             arch.bank_bytes = pad_kb * 1024;
-            let (ex, plan, cycles) = f1::compiler_compile(&p, &arch);
+            let (ex, plan, cycles) = f1::compiler::compile(&p, &arch);
             let report = f1::sim::check_schedule(&ex, &plan, &cycles, &arch);
             prop_assert!(report.makespan > 0);
             let inputs = f1::sim::mock_inputs(&ex.dfg);
